@@ -39,18 +39,26 @@ POLY_RTOL = 2e-3
 # test (FockQFI.converged) accepts a relative change of 1e-3.
 FOCK_QFI_RTOL = 1e-3
 FOCK_N_RTOL = 1e-6
+# critmet's Krylov path misses the finite-η ramp reference by 1.3% in I_x
+# and 2.7e-5 in N_final (README: known fault).  A row off by no more than
+# these is reported as that fault; a row off by more is wrong.
+KRYLOV_FAULT_I_RTOL = 2e-2
+KRYLOV_FAULT_N_RTOL = 1e-4
 
 RABI_INF_RATIO = 1e8   # Ω/ω the harness pins for η = ∞ Rabi configs
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One failed check; ``row`` is None for a check on the whole config."""
+    """One failed check; ``row`` is None for a check on the whole config.
+    ``known`` marks a row that misses its reference only by the size of the
+    known Krylov fault."""
 
     config: str
     row: int | None
     check: str
     message: str
+    known: bool = False
 
 
 @dataclass(frozen=True)
@@ -290,8 +298,8 @@ def check_config(cfg: dict, rows: list[dict]) -> list[Finding]:
     name = cfg["name"]
     found: list[Finding] = []
 
-    def add(row, check, message):
-        found.append(Finding(name, row, check, message))
+    def add(row, check, message, known=False):
+        found.append(Finding(name, row, check, message, known))
 
     grid = expected_grid(cfg)
     etas = cfg.get("eta", ["inf"])
@@ -320,8 +328,8 @@ def check_config(cfg: dict, rows: list[dict]) -> list[Finding]:
             else:
                 ref = ramp_heisenberg(ph, Ts)
             for i, (I_ref, N_ref) in zip(idx, ref):
-                _compare(add, rows[i], i, "gaussian-reference", I_ref, N_ref,
-                         GAUSS_RTOL, GAUSS_RTOL)
+                for msg in _compare(rows[i], I_ref, N_ref, GAUSS_RTOL, GAUSS_RTOL):
+                    add(i, "gaussian-reference", msg)
                 _check_bound(add, cfg, ph, rows[i], i)
         else:
             nmax = cfg.get("nmax")
@@ -329,23 +337,29 @@ def check_config(cfg: dict, rows: list[dict]) -> list[Finding]:
                 raise ValueError("finite-eta oracles need an explicit nmax")
             if kind == "quench":
                 for i, (I_ref, N_ref) in zip(idx, fock_quench_dense(ph, nmax, Ts)):
-                    _compare(add, rows[i], i, "fock-quench-dense", I_ref, N_ref,
-                             FOCK_QFI_RTOL, FOCK_N_RTOL)
+                    for msg in _compare(rows[i], I_ref, N_ref, FOCK_QFI_RTOL, FOCK_N_RTOL):
+                        add(i, "fock-quench-dense", msg)
             else:
                 i = min(idx, key=lambda i: _float(rows[i], "T"))
                 I_ref, N_ref = fock_ramp_dense(ph, nmax, _float(rows[i], "T"))
-                _compare(add, rows[i], i, "fock-ramp-dense", I_ref, N_ref,
-                         FOCK_QFI_RTOL, FOCK_N_RTOL)
+                misses = _compare(rows[i], I_ref, N_ref, FOCK_QFI_RTOL, FOCK_N_RTOL)
+                known = not _compare(rows[i], I_ref, N_ref,
+                                     KRYLOV_FAULT_I_RTOL, KRYLOV_FAULT_N_RTOL)
+                for msg in misses:
+                    add(i, "fock-ramp-dense", msg, known)
     return found
 
 
-def _compare(add, row, i, check, I_ref, N_ref, i_rtol, n_rtol):
+def _compare(row, I_ref, N_ref, i_rtol, n_rtol) -> list[str]:
+    """What of the row's I_x and N_final misses the reference (NaN misses)."""
     I_x, N = _float(row, "I_x"), _float(row, "N_final")
+    misses = []
     if not _rel(I_x, I_ref) <= i_rtol:
-        add(i, check, f"T={row['T']}: I_x={I_x!r}, reference {I_ref!r} "
+        misses.append(f"T={row['T']}: I_x={I_x!r}, reference {I_ref!r} "
                       f"(rel {_rel(I_x, I_ref):.2e} > {i_rtol:.0e})")
     if not abs(N - N_ref) <= n_rtol * abs(N_ref) + N_ATOL:
-        add(i, check, f"T={row['T']}: N_final={N!r}, reference {N_ref!r}")
+        misses.append(f"T={row['T']}: N_final={N!r}, reference {N_ref!r}")
+    return misses
 
 
 def _check_bound(add, cfg, ph, row, i):

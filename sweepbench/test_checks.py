@@ -6,6 +6,7 @@ computes and fails on a corrupted copy.
 
 import copy
 import csv
+import io
 import math
 import shutil
 import subprocess
@@ -91,24 +92,64 @@ def test_fock_quench_checks(tmp_path):
     assert failed_checks(FOCK_QUENCH, corrupt(rows, 2, "N_final", 1 + 1e-4)) == {"fock-quench-dense"}
 
 
-def test_fock_ramp_check_on_reference_row():
+FOCK_RAMP = {"name": "fock-adiabatic", "model": RABI_CRITICAL,
+             "protocol": {"kind": "adiabatic", "phi_ad": 0.05}, "estimand": "omega",
+             "t_grid": {"min": 4.0, "max": 8.0, "points": 2}, "eta": [100.0], "nmax": 64}
+
+
+def reference_ramp_rows():
     # critmet's finite-eta ramp rows miss this check (README: known fault),
-    # so the passing row is built from the reference itself
-    raw = {"name": "fock-adiabatic", "model": RABI_CRITICAL,
-           "protocol": {"kind": "adiabatic", "phi_ad": 0.05}, "estimand": "omega",
-           "t_grid": {"min": 4.0, "max": 8.0, "points": 2}, "eta": [100.0], "nmax": 64}
-    ph = checks.physics(raw, 100.0)
+    # so the passing rows are built from the reference itself
+    ph = checks.physics(FOCK_RAMP, 100.0)
     rows = []
-    for T in checks.expected_grid(raw):
+    for T in checks.expected_grid(FOCK_RAMP):
         I_x, N = checks.fock_ramp_dense(ph, 64, T)
         rows.append({"protocol": "adiabatic", "estimand": "omega", "eta": "100",
                      "T": repr(float(T)), "I_x": repr(I_x), "N_final": repr(N),
                      "bound_I": "", "error": ""})
-    assert failed_checks(raw, rows) == set()
-    assert failed_checks(raw, corrupt(rows, 0, "I_x", 1 + 1e-2)) == {"fock-ramp-dense"}
-    assert failed_checks(raw, corrupt(rows, 0, "N_final", 1 + 1e-4)) == {"fock-ramp-dense"}
+    return rows
+
+
+def ramp_findings(rows):
+    return {(f.check, f.known) for f in checks.check_config(FOCK_RAMP, rows)}
+
+
+def test_fock_ramp_check_on_reference_row():
+    rows = reference_ramp_rows()
+    known, fatal = {("fock-ramp-dense", True)}, {("fock-ramp-dense", False)}
+    assert ramp_findings(rows) == set()
+    # off by the size of the Krylov fault: the row fails, the run does not
+    assert ramp_findings(corrupt(rows, 0, "I_x", 1 + 1e-2)) == known
+    assert ramp_findings(corrupt(rows, 0, "N_final", 1 - 5e-5)) == known
+    # off by more, or not a number: the run fails
+    assert ramp_findings(corrupt(rows, 0, "I_x", 1 + 1e-1)) == fatal
+    assert ramp_findings(corrupt(rows, 0, "I_x", 1 - 3e-2)) == fatal
+    assert ramp_findings(corrupt(rows, 0, "N_final", 1 + 1e-3)) == fatal
+    assert ramp_findings(corrupt(rows, 0, "N_final", math.nan)) == fatal
+    both = corrupt(corrupt(rows, 0, "I_x", 1 + 1e-2), 0, "N_final", 1 + 1e-3)
+    assert ramp_findings(both) == fatal
     # only the shortest row is propagated
-    assert failed_checks(raw, corrupt(rows, 1, "I_x", 1 + 1e-2)) == set()
+    assert ramp_findings(corrupt(rows, 1, "I_x", 1 + 1e-2)) == set()
+
+
+def test_verify_fails_the_row_or_the_run():
+    import run
+
+    rows = reference_ramp_rows()
+
+    def round_of(rows):
+        fh = io.StringIO()
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+        return [(fh.getvalue().encode(), {"rows": len(rows)})]
+
+    fatal, n_rows, n_failed = run.verify([FOCK_RAMP], [round_of(rows)])
+    assert (fatal, n_rows, n_failed) == ([], 2, 0)
+    fatal, n_rows, n_failed = run.verify([FOCK_RAMP], [round_of(corrupt(rows, 0, "I_x", 1.013))])
+    assert (fatal, n_rows, n_failed) == ([], 2, 1)
+    fatal, _, n_failed = run.verify([FOCK_RAMP], [round_of(corrupt(rows, 0, "I_x", 1.1))])
+    assert [f.check for f in fatal] == ["fock-ramp-dense"] and n_failed == 0
 
 
 def test_structure_checks(tmp_path):
