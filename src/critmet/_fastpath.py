@@ -1,46 +1,38 @@
-"""Compiled fast path for the squeezing/sensitivity equations.
+"""The DOP853 stepper for the squeezing/sensitivity equations.
 
-One DOP853 (8th-order Dormand-Prince) stepper, jitted with numba, drives
-every Gaussian-path evolution: single trajectories and scaled-time batches
-of protocols.  The coefficient tables are taken from scipy's DOP853
-implementation and sanity-checked at import.  Error control matches the
-package convention: scaled local error per unit time below tol.
+One loop-form DOP853 (8th-order Dormand-Prince) kernel, ``_drive_impl``,
+drives every Gaussian-path evolution: single trajectories and scaled-time
+batches of protocols.  ``drive`` is the kernel jitted with numba when numba
+imports, and the same function run as plain Python otherwise; the numbers
+and the error control are those of the one kernel either way.  The
+coefficient tables are taken from scipy's DOP853 implementation and
+sanity-checked at import.  Error control: scaled RMS local error per unit
+time below tol.
 
 The integration variable is always s = t/T in [0, 1]; durations multiply
 the right-hand side, which lets families of protocols with different T
 share one error-controlled step sequence.
 
-Falls back to the pure-numpy 5(4) stepper in :mod:`critmet.integrate` when
-numba is unavailable (same semantics, much slower on long horizons).
+This module is imported on the first Gaussian evolution, not by
+``import critmet``, so importing the package loads neither scipy.integrate
+nor numba.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as _dc
 
-try:
-    from scipy.integrate._ivp import dop853_coefficients as _dc
+from .integrate import numba_version
 
-    _A = np.ascontiguousarray(_dc.A[:12, :12], dtype=np.float64)
-    _B = np.ascontiguousarray(_dc.B, dtype=np.float64)
-    _C = np.ascontiguousarray(_dc.C[:12], dtype=np.float64)
-    _E5 = np.ascontiguousarray(_dc.E5, dtype=np.float64)
-    _E3 = np.ascontiguousarray(_dc.E3, dtype=np.float64)
-    # row-sum consistency of the tableau
-    assert _A.shape == (12, 12) and _E5.size == 13 and _E3.size == 13
-    assert np.allclose(_A.sum(axis=1), _C, atol=1e-13)
-    _HAVE_TABLEAU = True
-except Exception:  # pragma: no cover - scipy layout change
-    _HAVE_TABLEAU = False
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-HAVE_FASTPATH = _HAVE_TABLEAU and _HAVE_NUMBA
+_A = np.ascontiguousarray(_dc.A[:12, :12], dtype=np.float64)
+_B = np.ascontiguousarray(_dc.B, dtype=np.float64)
+_C = np.ascontiguousarray(_dc.C[:12], dtype=np.float64)
+_E5 = np.ascontiguousarray(_dc.E5, dtype=np.float64)
+_E3 = np.ascontiguousarray(_dc.E3, dtype=np.float64)
+# row-sum consistency of the tableau
+assert _A.shape == (12, 12) and _E5.size == 13 and _E3.size == 13
+assert np.allclose(_A.sum(axis=1), _C, atol=1e-13)
 
 KIND_QUENCH = 0
 KIND_RAMP = 1
@@ -65,8 +57,10 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
     s_eval : strictly increasing sample points in (0, 1]
     y0 : initial (b, sensitivities) per protocol, shape (n, 1+n_estimands)
 
-    Returns (samples, nsteps, status, s_stop); samples has shape
-    (len(s_eval), n_protocols, 1 + n_estimands).
+    Returns (samples, nsteps, nrejected, nfev, status, s_stop): samples
+    has shape (len(s_eval), n_protocols, 1 + n_estimands); nsteps and
+    nrejected count accepted and rejected steps, nfev right-hand-side
+    evaluations (1 + 12 per attempted step).
     """
     n = Ts.size
     ne = rho.size
@@ -115,6 +109,7 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
                                       + (f0 / omega) * dw[k])
 
     rhs(0.0, y, f_cur)
+    nfev = 1
     fmax = 0.0
     for j in range(n):
         for q in range(m):
@@ -125,6 +120,7 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
     h = min(1e-4, 1e-2 / (1.0 + fmax))
     i_eval = 0
     nsteps = 0
+    nrejected = 0
     rejected = False
     n_reject_run = 0
     while i_eval < s_eval.size:
@@ -134,8 +130,8 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
             for j in range(n):
                 b = y[j, 0]
                 if 1.0 - 4.0 * (b.real * b.real + b.imag * b.imag) < 100.0 * floor:
-                    return out, nsteps, STATUS_BLOWUP, s
-            return out, nsteps, STATUS_STEPS, s
+                    return out, nsteps, nrejected, nfev, STATUS_BLOWUP, s
+            return out, nsteps, nrejected, nfev, STATUS_STEPS, s
         target = s_eval[i_eval]
         if h > target - s:
             h = target - s
@@ -159,6 +155,7 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
                     acc += _B[p] * K[p, j, q]
                 stage[j, q] = y[j, q] + h * acc
         rhs(s + h, stage, K[12])
+        nfev += 12
         # combined 5th/3rd-order error estimate on scaled components
         e5sq = 0.0
         e3sq = 0.0
@@ -192,7 +189,7 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
             for j in range(n):
                 b = y[j, 0]
                 if 1.0 - 4.0 * (b.real * b.real + b.imag * b.imag) < floor:
-                    return out, nsteps, STATUS_BLOWUP, s
+                    return out, nsteps, nrejected, nfev, STATUS_BLOWUP, s
             if s >= target - 1e-15:
                 for j in range(n):
                     for q in range(m):
@@ -213,6 +210,7 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
             h *= fac
         else:
             rejected = True
+            nrejected += 1
             n_reject_run += 1
             # a rejected attempt that pierces the normalizability floor
             # while the accepted state already sits close to it means the
@@ -226,7 +224,7 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
                 bt = stage[j, 0]
                 pierced = 1.0 - 4.0 * (bt.real * bt.real + bt.imag * bt.imag) < floor
                 if near and pierced:
-                    return out, nsteps, STATUS_BLOWUP, s
+                    return out, nsteps, nrejected, nfev, STATUS_BLOWUP, s
             if np.isfinite(err) and err > 0.0:
                 fac = _SAFETY * (budget / err) ** 0.125
                 if fac < _MIN_FAC:
@@ -234,10 +232,12 @@ def _drive_impl(kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0):
             else:
                 fac = _MIN_FAC   # overflowed/NaN trial: retreat hard
             h *= fac
-    return out, nsteps, STATUS_OK, s
+    return out, nsteps, nrejected, nfev, STATUS_OK, s
 
 
-if HAVE_FASTPATH:
+if numba_version() is None:
+    drive = _drive_impl
+else:  # pragma: no cover - numba is optional
+    from numba import njit
+
     drive = njit(cache=True)(_drive_impl)
-else:  # pragma: no cover
-    drive = None

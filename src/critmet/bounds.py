@@ -162,13 +162,6 @@ def bound_for_estimand(traj: Trajectory, e: EffectiveParams,
     return general_bound(traj, lambda g: estimand_form(e, x, g))
 
 
-def bound_from_photon_series(t: np.ndarray, n_photons: np.ndarray,
-                             coeff: np.ndarray | float) -> float:
-    """8 [∫ coeff (2N+1) dt]² for an externally sampled photon history."""
-    integrand = np.asarray(coeff) * (2.0 * np.asarray(n_photons) + 1.0)
-    return 8.0 * np.trapezoid(integrand, t) ** 2
-
-
 def _form_coefficient(q: QuadraticForm) -> float:
     phi, chi = mx_eigenvalues(q)
     return math.hypot(phi, chi)

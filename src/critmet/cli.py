@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .harness import (PRESETS, ConfigError, RunConfig, fit_results,
-                      parse_config, run, verify_bounds)
+                      load_config, parse_config, run, verify_bounds)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -28,23 +28,13 @@ EXIT_BOUND_VIOLATION = 3
 
 
 def _resolve_config(spec: str, workers: int | None, tol: float | None) -> RunConfig:
+    overrides = {k: v for k, v in (("workers", workers), ("tol", tol))
+                 if v is not None}
     if spec in PRESETS:
-        raw = dict(PRESETS[spec])
-    else:
-        path = Path(spec)
-        if not path.exists():
-            raise ConfigError(f"config {spec!r}: not a preset name and not a file")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    if workers is not None:
-        raw["workers"] = workers
-    if tol is not None:
-        raw["tol"] = tol
-    return parse_config(raw)
+        return parse_config({**PRESETS[spec], **overrides})
+    if not Path(spec).exists():
+        raise ConfigError(f"config {spec!r}: not a preset name and not a file")
+    return load_config(spec, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

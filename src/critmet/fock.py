@@ -322,16 +322,21 @@ def propagate(schedule: CouplingSchedule, e: EffectiveParams, *,
     """
     if e.is_thermodynamic and e.quartic is not QuarticKind.NONE:
         raise ValueError("eta = inf uses the Gaussian path")
-    n_try = nmax or auto_nmax(e.eta)
-    last: TruncationOverflow | None = None
-    for _ in range(max_doublings + 1):
+    return _doubling(lambda n: _propagate_core(schedule, e, nmax=n, tol=tol,
+                                               t_final=t_final,
+                                               t_samples=t_samples),
+                     nmax or auto_nmax(e.eta), max_doublings)
+
+
+def _doubling(run, nmax: int, max_doublings: int = 4):
+    """``run(n)`` at n = nmax, restarted at 2n on :class:`TruncationOverflow`
+    up to ``max_doublings`` times (the last overflow is re-raised)."""
+    for _ in range(max_doublings):
         try:
-            return _propagate_core(schedule, e, nmax=n_try, tol=tol,
-                                   t_final=t_final, t_samples=t_samples)
-        except TruncationOverflow as exc:
-            last = exc
-            n_try *= 2
-    raise last
+            return run(nmax)
+        except TruncationOverflow:
+            nmax *= 2
+    return run(nmax)
 
 
 def _propagate_core(schedule, e, *, nmax, tol, t_final=None, t_samples=None,
@@ -510,6 +515,7 @@ class FockQFI:
     qfi: np.ndarray
     delta_rel: float
     qfi_halved: np.ndarray | None = None
+    nmax: int | None = None     # truncation used, after any doublings
 
     @property
     def converged(self) -> bool | None:
@@ -530,27 +536,32 @@ def qfi_fock(schedule: CouplingSchedule, e: EffectiveParams, x: EstimandTag, *,
     Three propagations (x, x(1±δ)); the branch states are phase-aligned to
     the centre state before differencing (the QFI is gauge invariant, the
     naive difference is not).  ``check_delta=True`` repeats the difference
-    at δ/2 to verify convergence.
+    at δ/2 to verify convergence.  On tail-occupation breach in any branch
+    the truncation is doubled and every branch restarted, as in
+    :func:`propagate`.
     """
     if t_samples is None:
         t_samples = np.array([schedule.T])
     t_samples = np.asarray(t_samples, dtype=float)
-    n_use = nmax or auto_nmax(e.eta)
 
-    def branch(rel):
-        w, eta, scale = _perturbed_system(e, x, rel)
-        return _propagate_core(schedule, e, nmax=n_use, tol=tol,
-                               t_samples=t_samples, g_scale=scale,
-                               omega=w, eta=eta)
+    def at(n_use):
+        def branch(rel):
+            w, eta, scale = _perturbed_system(e, x, rel)
+            return _propagate_core(schedule, e, nmax=n_use, tol=tol,
+                                   t_samples=t_samples, g_scale=scale,
+                                   omega=w, eta=eta)
 
-    centre = branch(0.0)
-    qfi = _fd_qfi(centre, branch(delta_rel), branch(-delta_rel),
-                  x.value * delta_rel)
-    halved = None
-    if check_delta:
-        halved = _fd_qfi(centre, branch(0.5 * delta_rel),
-                         branch(-0.5 * delta_rel), 0.5 * x.value * delta_rel)
-    return FockQFI(t=t_samples, qfi=qfi, delta_rel=delta_rel, qfi_halved=halved)
+        centre = branch(0.0)
+        qfi = _fd_qfi(centre, branch(delta_rel), branch(-delta_rel),
+                      x.value * delta_rel)
+        halved = None
+        if check_delta:
+            halved = _fd_qfi(centre, branch(0.5 * delta_rel),
+                             branch(-0.5 * delta_rel), 0.5 * x.value * delta_rel)
+        return FockQFI(t=t_samples, qfi=qfi, delta_rel=delta_rel,
+                       qfi_halved=halved, nmax=n_use)
+
+    return _doubling(at, nmax or auto_nmax(e.eta))
 
 
 def _fd_qfi(centre: FockResult, plus: FockResult, minus: FockResult,

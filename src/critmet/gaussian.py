@@ -13,6 +13,10 @@ State is kept as b (the equation is polynomial in b, and the squeezing
 angle θ = arg b is undefined at b = 0).  Parameter sensitivities are
 integrated as a forward (tangent) system alongside b; finite differences
 are used only as test oracles.
+
+Every evolution, single or batched, is stepped by one DOP853 kernel
+through :func:`critmet.integrate.integrate`: jitted when numba imports,
+run as plain Python otherwise, with the same numbers either way.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .integrate import GuardTriggered, integrate
+from .integrate import BlowUpError, IntegrationResult, integrate
 from .models import (AdiabaticRamp, CouplingSchedule, EffectiveParams,
                      EstimandTag, FiniteRamp, SuddenQuench, chain_rule,
                      schedule_value)
@@ -32,17 +36,6 @@ from .models import (AdiabaticRamp, CouplingSchedule, EffectiveParams,
 NORMALIZABILITY_FLOOR = 1e-12
 """Integration aborts once 1 - 4|b|² drops below this: N and the QFI both
 diverge there and the Gaussian description has left its window of validity."""
-
-
-class BlowUpError(RuntimeError):
-    """Squeezing reached the normalizability boundary |b| -> 1/2."""
-
-    def __init__(self, t_blowup: float):
-        super().__init__(
-            f"|b| reached 1/2 at t={t_blowup:.6g}: unbounded squeezing "
-            "(possible only for a critical quench at eta=inf); shorten T"
-        )
-        self.t_blowup = t_blowup
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +173,6 @@ class Trajectory:
                          f"{self.b[i].imag:.17g},{n[i]:.17g}\n")
 
 
-def _normalizability_guard(t: float, y: np.ndarray) -> str | None:
-    b = y.reshape(-1)[0]
-    if 1.0 - 4.0 * abs(b) ** 2 < NORMALIZABILITY_FLOOR:
-        return "1 - 4|b|^2 below normalizability floor"
-    return None
-
-
 def _batch_kind(schedules) -> tuple[int, np.ndarray, np.ndarray]:
     """Kernel encoding (kind id, per-protocol parameter, durations)."""
     from . import _fastpath as fp
@@ -207,70 +193,17 @@ def _batch_kind(schedules) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _drive_batch(schedules, omega: float, rho: np.ndarray, dw: np.ndarray,
                  tol: float, s_eval: np.ndarray,
-                 y0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Run the compiled stepper (or the numpy fallback) over a batch.
+                 y0: np.ndarray | None = None) -> IntegrationResult:
+    """Run the DOP853 kernel over a batch of protocols.
 
-    Returns (samples, accepted steps) with samples of shape
-    (len(s_eval), n_protocols, 1 + n_estimands); raises
-    :class:`BlowUpError` at the normalizability floor.
+    The samples have shape (len(s_eval), n_protocols, 1 + n_estimands);
+    raises :class:`BlowUpError` at the normalizability floor.
     """
-    from . import _fastpath as fp
-
     kind, par, Ts = _batch_kind(schedules)
     if y0 is None:
         y0 = np.zeros((len(schedules), 1 + rho.size), dtype=complex)
-    if fp.HAVE_FASTPATH:
-        out, nsteps, status, s_stop = fp.drive(kind, par, Ts, omega, rho, dw,
-                                               tol, s_eval,
-                                               NORMALIZABILITY_FLOOR, y0)
-        if status == fp.STATUS_BLOWUP:
-            raise BlowUpError(float(s_stop * Ts.max()))
-        if status == fp.STATUS_STEPS:
-            raise RuntimeError("step budget exhausted in compiled stepper")
-        return out, int(nsteps)
-    return _drive_batch_reference(schedules, omega, rho, dw, tol, s_eval, Ts,
-                                  y0)
-
-
-def _drive_batch_reference(schedules, omega, rho, dw, tol, s_eval, Ts,
-                           y0=None):
-    """Numpy 5(4) fallback with identical semantics (slow on long horizons)."""
-    n = len(schedules)
-    ne = rho.size
-    if y0 is None:
-        y0 = np.zeros((n, 1 + ne), dtype=complex)
-
-    def rhs(s, y):
-        g2 = np.empty(n)
-        for j, sch in enumerate(schedules):
-            g = schedule_value(sch, min(s, 1.0) * sch.T)
-            g2[j] = g * g
-        e = np.sqrt(1.0 - g2)
-        b_minus = (1.0 - e) / (2.0 * (1.0 + e))
-        beta_plus = 0.5 * (1.0 + e) ** 2
-        b = y[:, 0]
-        f0 = 1j * omega * (b - b_minus) * (g2 * b - beta_plus)
-        out = np.empty_like(y)
-        out[:, 0] = f0
-        if ne:
-            fb = -1j * omega * ((2.0 - g2) - 2.0 * g2 * b)
-            fu = 1j * omega * (b + 0.5) ** 2
-            out[:, 1:] = (fb[:, None] * y[:, 1:]
-                          + (fu * 2.0 * g2)[:, None] * rho[None, :]
-                          + (f0 / omega)[:, None] * dw[None, :])
-        return Ts[:, None] * out
-
-    def guard(s, y):
-        if (1.0 - 4.0 * np.abs(y[:, 0]) ** 2 < NORMALIZABILITY_FLOOR).any():
-            return "1 - 4|b|^2 below normalizability floor"
-        return None
-
-    try:
-        res = integrate(rhs, 0.0, 1.0, np.array(y0, dtype=complex), tol=tol,
-                        t_eval=s_eval, guard=guard)
-    except GuardTriggered as exc:
-        raise BlowUpError(exc.t * float(Ts.max())) from exc
-    return res.y, res.nsteps
+    return integrate(kind, par, Ts, omega, rho, dw, y0, s_eval, tol=tol,
+                     floor=NORMALIZABILITY_FLOOR)
 
 
 def evolve_b(schedule: CouplingSchedule, omega: float, *, tol: float = 1e-10,
@@ -295,16 +228,16 @@ def evolve_b(schedule: CouplingSchedule, omega: float, *, tol: float = 1e-10,
     interior = t_samples[t_samples > 0.0]
 
     y0 = np.array([[b0]], dtype=complex)
-    y, nsteps = _drive_batch([schedule], omega, np.empty(0), np.empty(0), tol,
-                             interior / T, y0)
-    b = y[:, 0, 0]
+    res = _drive_batch([schedule], omega, np.empty(0), np.empty(0), tol,
+                       interior / T, y0)
+    b = res.y[:, 0, 0]
     if t_samples[0] == 0.0:
         t_out = t_samples
         b = np.concatenate(([b0], b))
     else:
         t_out = interior
     return Trajectory(t=t_out, b=b, schedule=schedule, omega=omega,
-                      tol=tol, nsteps=nsteps)
+                      tol=tol, nsteps=res.nsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +319,7 @@ def evolve_sensitivity(schedule: CouplingSchedule, x: EstimandTag | Sequence[Est
     interior = t_samples[t_samples > 0.0]
     nx = len(tags)
 
-    y, _ = _drive_batch([schedule], e.omega, rho, dw, tol, interior / T)
+    y = _drive_batch([schedule], e.omega, rho, dw, tol, interior / T).y
     b = y[:, 0, 0]
     s = y[:, 0, 1:]
     if t_samples[0] == 0.0:
@@ -425,7 +358,7 @@ def evolve_sensitivity_many(schedules: Sequence[CouplingSchedule],
     s_samples = np.asarray(s_samples, dtype=float)
     interior = s_samples[s_samples > 0.0]
 
-    y_samp, _ = _drive_batch(schedules, e.omega, rho, dw, tol, interior)
+    y_samp = _drive_batch(schedules, e.omega, rho, dw, tol, interior).y
     if s_samples[0] == 0.0:
         y_samp = np.concatenate([np.zeros((1, n, 1 + nx), dtype=complex), y_samp])
     b_samp = y_samp[:, :, 0]

@@ -25,6 +25,7 @@ from .bounds import bound_for_estimand
 from .gaussian import (BlowUpError, Trajectory, evolve_sensitivity,
                        qfi_squeezed, snr)
 from .fock import TruncationOverflow, observables_fock, propagate, qfi_fock
+from .integrate import numba_version
 from .models import (AdiabaticRamp, DirectParams, EffectiveParams, FiniteRamp,
                      LMGParams, QuantumRabiParams, QuarticKind, SuddenQuench,
                      estimand, map_direct, map_lmg, map_quantum_rabi,
@@ -57,7 +58,6 @@ class RunConfig:
     samples: int = 257
     nmax: int | None = None
     workers: int = 1
-    seed: int | None = None     # reserved for randomized verification flows
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -72,6 +72,13 @@ def _need(d: dict, key: str, kinds, where: str):
     v = d[key]
     if not isinstance(v, kinds):
         raise ConfigError(f"{where}.{key}: expected {kinds}, got {type(v).__name__}")
+    return v
+
+
+def _int_at_least(raw: dict, key: str, default, least: int) -> int:
+    v = raw.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        raise ConfigError(f"{key}: need an integer >= {least}, got {v!r}")
     return v
 
 
@@ -101,15 +108,20 @@ def parse_config(raw: dict) -> RunConfig:
             eta_t.append(float(v))
         else:
             raise ConfigError(f"eta: bad entry {v!r}")
+    tol = raw.get("tol", 1e-10)
+    if (not isinstance(tol, (int, float)) or isinstance(tol, bool)
+            or not math.isfinite(tol) or tol <= 0):
+        raise ConfigError(f"tol: need a finite number > 0, got {tol!r}")
+    samples = _int_at_least(raw, "samples", 257, 33)
+    workers = _int_at_least(raw, "workers", 1, 1)
+    nmax = raw.get("nmax")
+    if nmax is not None:
+        nmax = _int_at_least(raw, "nmax", None, 16)
     cfg = RunConfig(name=name, model=model, protocol=protocol, estimand=est,
                     t_grid={"min": float(grid["min"]), "max": float(grid["max"]),
                             "points": int(grid["points"])},
-                    eta=tuple(eta_t),
-                    tol=float(raw.get("tol", 1e-10)),
-                    samples=int(raw.get("samples", 257)),
-                    nmax=raw.get("nmax"),
-                    workers=int(raw.get("workers", 1)),
-                    seed=raw.get("seed"))
+                    eta=tuple(eta_t), tol=float(tol), samples=samples,
+                    nmax=nmax, workers=workers)
     # fail fast on unbuildable model/protocol/estimand combinations
     try:
         eff = build_effective(cfg.model, cfg.eta[0])
@@ -121,12 +133,16 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    """Parse the JSON config at ``path``, with ``overrides`` replacing its
+    top-level fields."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    if isinstance(raw, dict):
+        raw.update(overrides)
     return parse_config(raw)
 
 
@@ -254,7 +270,7 @@ def _run_point(args: tuple) -> ResultRow:
 
 def _bound_grid(T: float, samples: int) -> np.ndarray:
     from .gaussian import geometric_times
-    return geometric_times(T, max(samples, 33))
+    return geometric_times(T, samples)
 
 
 def run(cfg: RunConfig, out_dir: str | Path) -> Path:
@@ -287,6 +303,7 @@ def run(cfg: RunConfig, out_dir: str | Path) -> Path:
 
     import scipy
 
+    numba = numba_version()
     regimes = {}
     for eta in cfg.eta:
         eff = build_effective(cfg.model, eta)
@@ -296,8 +313,9 @@ def run(cfg: RunConfig, out_dir: str | Path) -> Path:
     manifest = {
         "config": json.loads(cfg.canonical_json()),
         "config_sha256": cfg.digest(),
+        "backend": "python" if numba is None else "numba",
         "versions": {"critmet": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": scipy.__version__, "numba": numba},
         "rows": len(rows),
         "failures": sum(1 for r in rows if r.error),
         "regimes": regimes,

@@ -1,147 +1,67 @@
-"""Adaptive embedded Runge-Kutta stepping for complex-valued ODE systems.
+"""Entry point to the Gaussian-path stepper.
 
-Dormand-Prince 5(4) with error-per-unit-time control: a step of size h is
-accepted when the embedded error estimate satisfies
-
-    max_i |e_i| / max(1, |y_i|)  <=  tol * h,
-
-so the accumulated error over a horizon T stays near tol * T.  The state
-may be a numpy array of any shape (complex or real); steps are chopped at
-requested sample times so sampled values are step endpoints, not
-interpolants.
+:func:`integrate` runs the DOP853 kernel of :mod:`critmet._fastpath` over a
+batch of protocols in scaled time s = t/T and returns its samples with the
+kernel's work counters.  The kernel is jitted when numba imports and runs
+as plain Python otherwise (:func:`numba_version` tells which); it is
+imported on first call, so importing this module loads neither
+scipy.integrate nor numba.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
 
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
+class BlowUpError(RuntimeError):
+    """Squeezing reached the normalizability boundary |b| -> 1/2."""
 
-
-class GuardTriggered(RuntimeError):
-    """Raised when the caller-supplied guard fires during integration."""
-
-    def __init__(self, t: float, message: str):
-        super().__init__(f"integration guard at t={t:.6g}: {message}")
-        self.t = t
-        self.guard_message = message
+    def __init__(self, t_blowup: float):
+        super().__init__(
+            f"|b| reached 1/2 at t={t_blowup:.6g}: unbounded squeezing "
+            "(possible only for a critical quench at eta=inf); shorten T"
+        )
+        self.t_blowup = t_blowup
 
 
 @dataclass
 class IntegrationResult:
-    t: np.ndarray            # sample times (includes t1)
-    y: np.ndarray            # states at samples, shape (len(t),) + y0.shape
+    y: np.ndarray            # samples, shape (len(s_eval), n, 1 + n_estimands)
     nsteps: int              # accepted steps
     nrejected: int
-    nfev: int
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.y[-1]
+    nfev: int                # right-hand-side evaluations
 
 
-def integrate(rhs: Callable, t0: float, t1: float, y0: np.ndarray, *,
-              tol: float = 1e-10,
-              t_eval: np.ndarray | None = None,
-              guard: Callable[[float, np.ndarray], str | None] | None = None,
-              max_steps: int = 50_000_000) -> IntegrationResult:
-    """Integrate dy/dt = rhs(t, y) from t0 to t1.
+def numba_version() -> str | None:
+    """numba's version when it imports (the kernel is then jitted), else None."""
+    try:
+        import numba
+    except ImportError:
+        return None
+    return numba.__version__
 
-    Parameters
-    ----------
-    t_eval : strictly increasing times in (t0, t1] at which to record y;
-        defaults to [t1].  t1 is always the last sample.
-    guard : optional callable inspected after every accepted step; a
-        returned string aborts with :class:`GuardTriggered`.
+
+def integrate(kind: int, par: np.ndarray, Ts: np.ndarray, omega: float,
+              rho: np.ndarray, dw: np.ndarray, y0: np.ndarray,
+              s_eval: np.ndarray, *, tol: float,
+              floor: float) -> IntegrationResult:
+    """Integrate the batched squeezing + sensitivity system over s in [0, 1].
+
+    The arguments are the kernel's (see ``_fastpath._drive_impl``).  Raises
+    :class:`BlowUpError` once 1 - 4|b|² of any protocol drops below
+    ``floor``, and RuntimeError when the step budget runs out.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    y = np.array(y0, dtype=complex)
-    span = t1 - t0
+    from . import _fastpath as fp
 
-    if t_eval is None:
-        samples = np.array([t1], dtype=float)
-    else:
-        samples = np.asarray(t_eval, dtype=float)
-        if samples.ndim != 1 or (np.diff(samples) <= 0).any():
-            raise ValueError("t_eval must be strictly increasing")
-        if samples.size and (samples[0] <= t0 or samples[-1] > t1 * (1 + 1e-12)):
-            raise ValueError("t_eval must lie in (t0, t1]")
-        if samples.size == 0 or samples[-1] < t1:
-            samples = np.append(samples, t1)
-
-    out = np.empty((samples.size,) + y.shape, dtype=complex)
-    i_sample = 0
-
-    t = t0
-    h = span * 1e-4
-    k = [None] * 7
-    nsteps = nrejected = nfev = 0
-
-    while t < t1:
-        target = samples[i_sample]
-        h = min(h, target - t)
-        # one attempted step
-        k[0] = rhs(t, y)
-        for s in range(1, 7):
-            ys = y + h * sum(a * k[j] for j, a in enumerate(_A[s]))
-            k[s] = rhs(t + _C[s] * h, ys)
-        nfev += 7
-        y5 = y + h * sum(b * k[j] for j, b in enumerate(_B5) if b)
-        err_vec = h * sum(e * k[j] for j, e in enumerate(_ERR) if e)
-        scale = np.maximum(1.0, np.maximum(np.abs(y), np.abs(y5)))
-        err = float(np.max(np.abs(err_vec) / scale))
-
-        budget = tol * h
-        if err <= budget or h <= span * 1e-14:
-            t = t + h
-            y = y5
-            nsteps += 1
-            if guard is not None:
-                msg = guard(t, y)
-                if msg:
-                    raise GuardTriggered(t, msg)
-            if t >= target * (1 - 1e-15) or t >= target - span * 1e-15:
-                out[i_sample] = y
-                i_sample += 1
-                if i_sample == samples.size:
-                    break
-        else:
-            nrejected += 1
-        # error-per-unit-time controller (embedded difference is O(h^5));
-        # a NaN/inf error estimate (overflowed trial) forces a hard retreat
-        if err > 0 and np.isfinite(err):
-            factor = _SAFETY * (budget / err) ** 0.2
-        elif err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _MIN_FACTOR
-        h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        if nsteps + nrejected > max_steps:
-            raise RuntimeError(f"step budget exhausted at t={t:.6g}")
-
-    return IntegrationResult(t=samples, y=out, nsteps=nsteps,
-                             nrejected=nrejected, nfev=nfev)
+    y, nsteps, nrejected, nfev, status, s_stop = fp.drive(
+        kind, par, Ts, omega, rho, dw, tol, s_eval, floor, y0)
+    if status == fp.STATUS_BLOWUP:
+        raise BlowUpError(float(s_stop * Ts.max()))
+    if status == fp.STATUS_STEPS:
+        raise RuntimeError("step budget exhausted in the DOP853 stepper")
+    return IntegrationResult(y=y, nsteps=int(nsteps),
+                             nrejected=int(nrejected), nfev=int(nfev))

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from critmet.gaussian import (BlowUpError, SensitivityState, SqueezingState,
                               evolve_b, evolve_sensitivity,
                               evolve_sensitivity_many, geometric_times,
                               ground_state_b, photon_number, qfi_squeezed,
                               quench_b_exact, riccati_rhs, snr,
-                              squeezed_overlap, _drive_batch_reference)
+                              squeezed_overlap)
+from critmet import gaussian
+from critmet.integrate import integrate
 from critmet.models import (AdiabaticRamp, DirectParams, EffectiveParams,
                             FiniteRamp, INFINITE_ETA, QuantumRabiParams,
                             SuddenQuench, estimand, map_direct,
@@ -244,9 +247,9 @@ class TestSensitivity:
                 g2 = g * g
                 return -1j * w * (-0.25 * g2 + (2 - g2) * y - g2 * y * y)
 
-            from critmet.integrate import integrate
-            return integrate(rhs, 0.0, T, np.zeros(1, complex),
-                             tol=1e-12).final[0]
+            sol = solve_ivp(rhs, (0.0, T), np.zeros(1, complex),
+                            method="DOP853", rtol=1e-12, atol=1e-14)
+            return sol.y[0, -1]
 
         dx = rel * 1.0
         fd = (b_at(1.0 + dx) - b_at(1.0 - dx)) / (2 * dx)
@@ -266,18 +269,68 @@ class TestSensitivity:
         assert nph.shape == (257, 3)
 
     def test_compiled_kernel_against_numpy_stepper(self):
-        # independent stepper (pure-numpy 5(4)) agrees with the jitted 8th
-        # order kernel
+        # the DOP853 kernel agrees with scipy's solve_ivp on the Riccati
+        # equation and its λ tangent, integrated in real time
         e = rabi_at(0.9)
         tag = estimand(e, "lambda")
-        sch = SuddenQuench(g_f=0.9, T=12.0)
+        T = 12.0
+        sch = SuddenQuench(g_f=0.9, T=T)
         fast = evolve_sensitivity(sch, tag, e, tol=1e-11).final()
-        rho = np.array([1.0 / tag.value])
-        dw = np.array([0.0])
-        ref, _ = _drive_batch_reference([sch], 1.0, rho, dw, 1e-11,
-                                        np.array([1.0]), np.array([12.0]))
-        assert abs(fast.b - ref[0, 0, 0]) < 1e-9
-        assert abs(fast.db_dx - ref[0, 0, 1]) < 1e-9 * abs(ref[0, 0, 1])
+        g2 = e.g ** 2
+        dg2 = 2.0 * g2 / tag.value       # g ∝ λ: ∂(g²)/∂λ = 2g²/λ
+
+        def rhs(t, y):
+            b, s = y
+            db = -1j * (-0.25 * g2 + (2 - g2) * b - g2 * b * b)
+            ds = (-1j * ((2 - g2) - 2 * g2 * b) * s
+                  - 1j * (-0.25 - b - b * b) * dg2)
+            return [db, ds]
+
+        sol = solve_ivp(rhs, (0.0, T), np.zeros(2, complex), method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        ref_b, ref_s = sol.y[:, -1]
+        assert abs(fast.b - ref_b) < 1e-9
+        assert abs(fast.db_dx - ref_s) < 1e-9 * abs(ref_s)
+
+    def test_jitted_kernel_matches_python_kernel(self):
+        pytest.importorskip("numba")
+        from critmet import _fastpath as fp
+
+        Ts = np.array([10.0, 40.0, 160.0])
+        args = (fp.KIND_RAMP, np.full(3, 2.0), Ts, 1.0, np.array([0.5, 0.0]),
+                np.array([0.0, 1.0]), 1e-10, np.linspace(0.1, 1.0, 10),
+                gaussian.NORMALIZABILITY_FLOOR, np.zeros((3, 3), complex))
+        jit = fp.drive(*args)
+        py = fp.drive.py_func(*args)
+        assert jit[1:] == py[1:]         # steps, rejections, evaluations, status
+        assert np.allclose(jit[0], py[0], rtol=1e-12, atol=1e-14)
+
+    def test_work_counters(self):
+        # one right-hand side at s = 0, then 12 per attempted step
+        calls = []
+
+        def counting(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            calls.append(res)
+            return res
+
+        e = rabi_critical()
+        original = gaussian.integrate
+        gaussian.integrate = counting
+        try:
+            evolve_sensitivity(FiniteRamp(r=2.0, T=30.0), estimand(e, "omega"),
+                               e, tol=1e-12)
+        finally:
+            gaussian.integrate = original
+        (res,) = calls
+        assert res.nsteps > 0 and res.nrejected > 0
+        assert res.nfev == 1 + 12 * (res.nsteps + res.nrejected)
+
+    def test_nonpositive_tol_rejected(self):
+        sch = SuddenQuench(g_f=0.5, T=1.0)
+        for tol in (0.0, -1e-10, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                evolve_b(sch, 1.0, tol=tol, samples=8)
 
 
 class TestQFI:

@@ -1,13 +1,22 @@
 import csv
+import importlib.util
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critmet
 from critmet.cli import main
-from critmet.harness import (ConfigError, PRESETS, fit_results,
-                             load_config, parse_config, read_results, run,
-                             verify_bounds)
+from critmet.fock import qfi_fock
+from critmet.harness import (ConfigError, PRESETS, build_effective,
+                             fit_results, load_config, parse_config,
+                             read_results, run, verify_bounds)
+from critmet.models import SuddenQuench, estimand
 
 SMALL_CONFIG = {
     "name": "smoke-quench",
@@ -57,6 +66,43 @@ class TestConfig:
             cfg = parse_config(dict(raw))
             assert cfg.name == name
 
+    @staticmethod
+    def _rejects(field, values):
+        for v in values:
+            with pytest.raises(ConfigError, match=f"^{field}: "):
+                parse_config({**SMALL_CONFIG, field: v})
+
+    def test_tol_must_be_finite_and_positive(self):
+        self._rejects("tol", [0.0, -1.0, math.inf, math.nan, "1e-8", True])
+        assert parse_config({**SMALL_CONFIG, "tol": 1e-8}).tol == 1e-8
+
+    def test_workers_must_be_positive_integer(self):
+        self._rejects("workers", [0, -2, 1.5, 2.0, "2", True])
+        assert parse_config({**SMALL_CONFIG, "workers": 2}).workers == 2
+
+    def test_samples_must_be_integer_at_least_33(self):
+        self._rejects("samples", [32, 0, 65.0, "65", True])
+        assert parse_config({**SMALL_CONFIG, "samples": 33}).samples == 33
+
+    def test_nmax_must_be_null_or_integer_at_least_16(self):
+        self._rejects("nmax", [15, 0, 64.0, "64", True, False])
+        assert parse_config({**SMALL_CONFIG, "nmax": 16}).nmax == 16
+        assert parse_config({**SMALL_CONFIG, "nmax": None}).nmax is None
+
+    def test_import_and_parse_load_no_stepper(self):
+        # importing critmet and parsing a config leave scipy.integrate, numba
+        # and the stepper kernel unloaded: they are loaded on first use
+        code = ("import sys, critmet\n"
+                "from critmet.harness import PRESETS, parse_config\n"
+                "parse_config(dict(PRESETS['fig7-kz']))\n"
+                "print([m for m in ('scipy.integrate', 'numba', "
+                "'critmet._fastpath') if m in sys.modules])\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(critmet.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
 
 class TestRun:
     def test_quench_sweep_and_outputs(self, tmp_path):
@@ -71,6 +117,9 @@ class TestRun:
         assert manifest["rows"] == 10
         assert manifest["config_sha256"] == cfg.digest()
         assert manifest["failures"] == 0
+        numba = importlib.util.find_spec("numba") is not None
+        assert manifest["backend"] == ("numba" if numba else "python")
+        assert (manifest["versions"]["numba"] is not None) == numba
 
     def test_reproducibility_byte_identical(self, tmp_path):
         cfg = parse_config(SMALL_CONFIG)
@@ -95,6 +144,22 @@ class TestRun:
         assert len(rows) == 3
         assert any("BlowUpError" in r["error"] for r in rows)
         assert any(r["error"] == "" for r in rows)
+
+    def test_finite_eta_rows_double_truncation(self, tmp_path):
+        # η = 1e3 starts at nmax = 80, whose tail overflows for a g = 1
+        # quench: every finite-difference branch restarts at nmax = 160
+        raw = {**SMALL_CONFIG, "eta": [1000], "nmax": None,
+               "t_grid": {"min": 5.0, "max": 40.0, "points": 4}}
+        cfg = parse_config(raw)
+        rows = read_results(run(cfg, tmp_path))
+        assert [r["error"] for r in rows] == [""] * 4
+        eff = build_effective(cfg.model, 1000.0)
+        tag = estimand(eff, "lambda")
+        res = qfi_fock(SuddenQuench(g_f=1.0, T=40.0), eff, tag)
+        assert res.nmax == 160
+        assert float(rows[-1]["I_x"]) == res.qfi[-1]
+        fixed = qfi_fock(SuddenQuench(g_f=1.0, T=40.0), eff, tag, nmax=160)
+        assert res.qfi[-1] == fixed.qfi[-1]
 
     def test_regime_labels_recorded(self, tmp_path):
         cfg = parse_config(SMALL_CONFIG)
