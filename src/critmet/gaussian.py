@@ -10,13 +10,11 @@ with b(0) = 0.  Everything observable follows from b and its parameter
 derivative: N = 4|b|²/(1-4|b|²) and I_x = 8|∂_x b|²/(1-4|b|²)².
 
 State is kept as b (the equation is polynomial in b, and the squeezing
-angle θ = arg b is undefined at b = 0).  Parameter sensitivities are
-integrated as a forward (tangent) system alongside b; finite differences
+angle θ = arg b is undefined at b = 0).  A sudden quench is closed form.
+Ramps integrate b with its parameter sensitivities (the forward tangent
+system) by one DOP853 kernel through :func:`critmet.integrate.integrate`,
+jitted when numba imports and plain Python otherwise.  Finite differences
 are used only as test oracles.
-
-Every evolution, single or batched, is stepped by one DOP853 kernel
-through :func:`critmet.integrate.integrate`: jitted when numba imports,
-run as plain Python otherwise, with the same numbers either way.
 """
 
 from __future__ import annotations
@@ -28,13 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .integrate import BlowUpError, IntegrationResult, integrate
+from .integrate import BlowUpError, integrate
 from .models import (AdiabaticRamp, CouplingSchedule, EffectiveParams,
                      EstimandTag, FiniteRamp, SuddenQuench, chain_rule,
                      schedule_value)
 
 NORMALIZABILITY_FLOOR = 1e-12
-"""Integration aborts once 1 - 4|b|² drops below this: N and the QFI both
+"""Evolution aborts once 1 - 4|b|² drops below this: N and the QFI both
 diverge there and the Gaussian description has left its window of validity."""
 
 
@@ -173,71 +171,138 @@ class Trajectory:
                          f"{self.b[i].imag:.17g},{n[i]:.17g}\n")
 
 
-def _batch_kind(schedules) -> tuple[int, np.ndarray, np.ndarray]:
-    """Kernel encoding (kind id, per-protocol parameter, durations)."""
+def _kernel_kind(schedule: CouplingSchedule) -> tuple[int, float]:
+    """Kernel encoding (kind id, schedule parameter) of a ramp."""
     from . import _fastpath as fp
 
-    kinds = {type(s) for s in schedules}
-    if len(kinds) != 1:
-        raise ValueError("batched integration requires schedules of one kind")
-    kind = kinds.pop()
-    Ts = np.array([s.T for s in schedules], dtype=float)
-    if kind is SuddenQuench:
-        return fp.KIND_QUENCH, np.array([s.g_f ** 2 for s in schedules]), Ts
-    if kind is FiniteRamp:
-        return fp.KIND_RAMP, np.array([s.r for s in schedules]), Ts
-    if kind is AdiabaticRamp:
-        return fp.KIND_ADIABATIC, np.array([s.tau_q for s in schedules]), Ts
-    raise ValueError(f"unsupported schedule type {kind!r}")
+    if isinstance(schedule, FiniteRamp):
+        return fp.KIND_RAMP, schedule.r
+    if isinstance(schedule, AdiabaticRamp):
+        return fp.KIND_ADIABATIC, schedule.tau_q
+    raise ValueError(f"unsupported schedule type {type(schedule)!r}")
 
 
-def _drive_batch(schedules, omega: float, rho: np.ndarray, dw: np.ndarray,
-                 tol: float, s_eval: np.ndarray,
-                 y0: np.ndarray | None = None) -> IntegrationResult:
-    """Run the DOP853 kernel over a batch of protocols.
+def _sinc_terms(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c = cos√q, s = sin√q/√q and ds/dq = (c - s)/(2q) for q ≥ 0; ds/dq
+    is summed as a Taylor series below q = 1/2, where (c - s) cancels."""
+    c = np.cos(np.sqrt(q))
+    s = np.sinc(np.sqrt(q) / math.pi)
+    small = q < 0.5
+    series = np.zeros_like(q)
+    for n in range(9, 0, -1):
+        series = series * np.where(small, q, 0.0) + (-1) ** n * n / math.factorial(2 * n + 1)
+    return c, s, np.where(small, series, (c - s) / (2.0 * np.where(small, 1.0, q)))
 
-    The samples have shape (len(s_eval), n_protocols, 1 + n_estimands);
-    raises :class:`BlowUpError` at the normalizability floor.
+
+def _quench_closed_form(g2: float, omega: float, t: np.ndarray, b0: complex,
+                        dg2: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """(b, ∂b/∂x) of a sudden quench to g² from b(0) = b0, shape
+    (len(t), 1 + len(dw)); dg2 and dw hold ∂(g²)/∂x and ∂ω/∂x per estimand.
+
+    (x, p) evolve by S(t) = [[c, ωt·s], [-ω(1-g²)t·s, c]], q = (ωt)²(1-g²)
+    in :func:`_sinc_terms`: a rotation, or the shear at g = 1.  The
+    annihilator (1-2b0)x + i(1+2b0)p becomes αx + βp, so
+    b = (β - iα)/(2(β + iα)).  ∂S/∂ω = t·AS for dS/dt = ωAS.
     """
-    kind, par, Ts = _batch_kind(schedules)
-    if y0 is None:
-        y0 = np.zeros((len(schedules), 1 + rho.size), dtype=complex)
-    return integrate(kind, par, Ts, omega, rho, dw, y0, s_eval, tol=tol,
-                     floor=NORMALIZABILITY_FLOOR)
+    e2 = 1.0 - g2
+    u = omega * t
+    c, s, ds = _sinc_terms(u * u * e2)
+    x = u * s
+    S = np.array([[c, x], [-e2 * x, c]])
+    S_w = (u / omega) * np.array([[-e2 * x, c], [-e2 * c, -e2 * x]])
+    S_g2 = np.array([[0.5 * u * x, -u ** 3 * ds], [0.5 * u * (c + s), 0.5 * u * x]])
+    dS = S_w[..., None] * dw + S_g2[..., None] * dg2
+
+    def annihilator(M):
+        a1, a2 = 1.0 - 2.0 * b0, 1.0 + 2.0 * b0
+        return a1 * M[1, 1] - 1j * a2 * M[1, 0], -a1 * M[0, 1] + 1j * a2 * M[0, 0]
+
+    alpha, beta = annihilator(S)
+    d_alpha, d_beta = annihilator(dS)
+    w = beta + 1j * alpha
+    db = 1j * (alpha[:, None] * d_beta - beta[:, None] * d_alpha) / (w * w)[:, None]
+    return np.column_stack([(beta - 1j * alpha) / (2.0 * w), db])
+
+
+def _blowup_time(g2: float, omega: float, b0: complex, floor: float) -> float:
+    """First t at which 1 - 4|b|² of a quench from b0 falls to ``floor``
+    (inf if never): √(4/floor - 4)/ω at g = 1 from the vacuum.
+
+    1 - 4|b|² = 4(1 - 4|b0|²)/|w|², w = β + iα = 2ic - pX with X = ωt·s and
+    p = (1-2b0) + (1+2b0)(1-g²).  As c² + (1-g²)X² = 1, |w|² = L is a
+    quadratic in Y = X/c = ω tan(νt)/ν, ν = ω√(1-g²), and Y sweeps [0, ∞)
+    then (-∞, 0) over the period π/ν of |w|².
+    """
+    e2 = 1.0 - g2
+    L = 4.0 * (1.0 - 4.0 * abs(b0) ** 2) / floor
+    p = (1.0 - 2.0 * b0) + (1.0 + 2.0 * b0) * e2
+    a2, a1, a0 = abs(p) ** 2 - L * e2, -4.0 * p.imag, 4.0 - L
+    disc = a1 * a1 - 4.0 * a2 * a0
+    q = -0.5 * (a1 + math.copysign(math.sqrt(max(disc, 0.0)), a1))
+    if a0 >= 0.0:
+        return 0.0
+    if disc < 0.0 or q == 0.0:
+        return math.inf
+    roots = [a0 / q] + ([q / a2] if a2 != 0.0 else [])
+    e = math.sqrt(e2)
+    y = min([r for r in roots if r >= 0.0], default=None)
+    if y is None:      # g < 1, crossing in the second quarter period
+        return (math.pi + math.atan(e * min(roots))) / (omega * e)
+    return y / omega if e == 0.0 else math.atan(e * y) / (omega * e)
+
+
+def _evolve(schedule: CouplingSchedule, omega: float, rho: np.ndarray,
+            dw: np.ndarray, tol: float, t_samples, b0: complex):
+    """(t, y, nsteps): (b, ∂b/∂x) at the sample times t, shape
+    (len(t), 1 + len(rho)), and the number of kernel steps taken.
+
+    A quench is closed form; ramps are stepped by the DOP853 kernel.  Raises
+    :class:`BlowUpError` once 1 - 4|b|² drops below the normalizability
+    floor by the last sample time.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    t_samples = np.asarray(t_samples, dtype=float)
+    t = t_samples[t_samples > 0.0]
+    y0 = np.zeros(1 + rho.size, dtype=complex)
+    y0[0] = b0
+    if isinstance(schedule, SuddenQuench):
+        g2 = schedule.g_f ** 2
+        t_blowup = _blowup_time(g2, omega, b0, NORMALIZABILITY_FLOOR)
+        if t.size and t_blowup <= t.max():
+            raise BlowUpError(t_blowup)
+        y, nsteps = _quench_closed_form(g2, omega, t, b0, 2.0 * g2 * rho, dw), 0
+    else:
+        kind, par = _kernel_kind(schedule)
+        res = integrate(kind, par, schedule.T, omega, rho, dw, y0,
+                        t / schedule.T, tol=tol, floor=NORMALIZABILITY_FLOOR)
+        y, nsteps = res.y, res.nsteps
+    if t_samples[0] == 0.0:
+        return t_samples, np.vstack([y0, y]), nsteps
+    return t, y, nsteps
 
 
 def evolve_b(schedule: CouplingSchedule, omega: float, *, tol: float = 1e-10,
              t_samples: np.ndarray | None = None, samples: int = 512,
              b0: complex = 0.0 + 0.0j) -> Trajectory:
-    """Integrate the squeezing equation under ``schedule``.
+    """Evolve the squeezing parameter under ``schedule``.
 
     Protocols start from the vacuum b(0) = 0 (the default); ``b0`` admits
     other initial squeezed states, e.g. a ground state for stationarity
-    checks.  The local error per unit time is kept below ``tol``; the final
-    sample lands exactly at t = T.  Raises :class:`BlowUpError` if the
-    squeezing reaches the normalizability boundary (critical quench at
-    long T).
+    checks.  Ramps keep the local error per unit time below ``tol``; a
+    quench is exact.  The final sample lands exactly at t = T.  Raises
+    :class:`BlowUpError` if the squeezing reaches the normalizability
+    boundary (critical quench at long T).
     """
     _check_omega(schedule, omega)
     if not abs(b0) < 0.5:
         raise ValueError("|b0| must be < 1/2")
-    T = schedule.T
     if t_samples is None:
-        t_samples = geometric_times(T, samples)
-    t_samples = np.asarray(t_samples, dtype=float)
-    interior = t_samples[t_samples > 0.0]
-
-    y0 = np.array([[b0]], dtype=complex)
-    res = _drive_batch([schedule], omega, np.empty(0), np.empty(0), tol,
-                       interior / T, y0)
-    b = res.y[:, 0, 0]
-    if t_samples[0] == 0.0:
-        t_out = t_samples
-        b = np.concatenate(([b0], b))
-    else:
-        t_out = interior
-    return Trajectory(t=t_out, b=b, schedule=schedule, omega=omega,
-                      tol=tol, nsteps=res.nsteps)
+        t_samples = geometric_times(schedule.T, samples)
+    t, y, nsteps = _evolve(schedule, omega, np.empty(0), np.empty(0), tol,
+                           t_samples, b0)
+    return Trajectory(t=t, b=y[:, 0], schedule=schedule, omega=omega,
+                      tol=tol, nsteps=nsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +363,12 @@ def _sensitivity_coefficients(e: EffectiveParams,
 def evolve_sensitivity(schedule: CouplingSchedule, x: EstimandTag | Sequence[EstimandTag],
                        e: EffectiveParams, *, tol: float = 1e-10,
                        t_samples: np.ndarray | None = None) -> SensitivityTrajectory:
-    """Integrate {b, ∂b/∂x} from (0, 0) under ``schedule``.
+    """Evolve {b, ∂b/∂x} from (0, 0) under ``schedule``.
 
     The estimand enters through the chain rule: the coupling profile scales
     multiplicatively with the target (∂g(t)/∂x = g(t) ∂ln g/∂x, exact for
     the power-law parameter maps), and ω rescales the whole generator.
-    Several estimands may be integrated side by side.
+    Several estimands may be evolved side by side.
     """
     tags = (x,) if isinstance(x, EstimandTag) else tuple(x)
     _check_omega(schedule, e.omega)
@@ -312,23 +377,10 @@ def evolve_sensitivity(schedule: CouplingSchedule, x: EstimandTag | Sequence[Est
             f"schedule target g={schedule.target_g} does not match EffectiveParams.g={e.g}"
         )
     rho, dw = _sensitivity_coefficients(e, tags)
-    T = schedule.T
     if t_samples is None:
-        t_samples = np.array([T])
-    t_samples = np.asarray(t_samples, dtype=float)
-    interior = t_samples[t_samples > 0.0]
-    nx = len(tags)
-
-    y = _drive_batch([schedule], e.omega, rho, dw, tol, interior / T).y
-    b = y[:, 0, 0]
-    s = y[:, 0, 1:]
-    if t_samples[0] == 0.0:
-        b = np.concatenate(([0.0 + 0.0j], b))
-        s = np.vstack([np.zeros((1, nx), dtype=complex), s])
-        t_out = t_samples
-    else:
-        t_out = interior
-    return SensitivityTrajectory(t=t_out, b=b, db_dx=s, estimands=tags,
+        t_samples = np.array([schedule.T])
+    t, y, _ = _evolve(schedule, e.omega, rho, dw, tol, t_samples, 0.0 + 0.0j)
+    return SensitivityTrajectory(t=t, b=y[:, 0], db_dx=y[:, 1:], estimands=tags,
                                  schedule=schedule, omega=e.omega, tol=tol)
 
 
@@ -336,42 +388,24 @@ def evolve_sensitivity_many(schedules: Sequence[CouplingSchedule],
                             x: EstimandTag | Sequence[EstimandTag],
                             e: EffectiveParams, *, tol: float = 1e-10,
                             s_samples: np.ndarray | None = None):
-    """Batch of protocols integrated together in scaled time s = t/T.
+    """:func:`evolve_sensitivity` over a family of protocols, one by one.
 
-    All protocols share the step sequence (error-controlled on the worst
-    component), which makes families of finite-time ramps with different T
-    cheap.  Returns ``(final_states, n_photons)`` where ``final_states`` is
-    a list of per-schedule lists of :class:`SensitivityState` and
-    ``n_photons`` has shape (len(s_samples), n_schedules) for the bound
-    integrals (s_samples defaults to a 257-point grid on [0, 1]).
+    Returns ``(final_states, n_photons)``: per-schedule lists of
+    :class:`SensitivityState`, and N of shape (len(s_samples), n_schedules)
+    at the scaled times s = t/T (default: 257 points on [0, 1]).
     """
     tags = (x,) if isinstance(x, EstimandTag) else tuple(x)
-    for sch in schedules:
-        _check_omega(sch, e.omega)
-        if abs(sch.target_g - e.g) > 1e-12:
-            raise ValueError("schedule target does not match EffectiveParams.g")
-    rho, dw = _sensitivity_coefficients(e, tags)
-    n = len(schedules)
-    nx = len(tags)
     if s_samples is None:
         s_samples = np.linspace(0.0, 1.0, 257)
     s_samples = np.asarray(s_samples, dtype=float)
-    interior = s_samples[s_samples > 0.0]
-
-    y_samp = _drive_batch(schedules, e.omega, rho, dw, tol, interior).y
-    if s_samples[0] == 0.0:
-        y_samp = np.concatenate([np.zeros((1, n, 1 + nx), dtype=complex), y_samp])
-    b_samp = y_samp[:, :, 0]
-    b2 = 4.0 * np.abs(b_samp) ** 2
-    n_photons = b2 / (1.0 - b2)
-
-    finals = []
-    for i in range(n):
-        states = [SensitivityState(b=complex(y_samp[-1, i, 0]),
-                                   db_dx=complex(y_samp[-1, i, 1 + k]),
-                                   estimand=tags[k]) for k in range(nx)]
-        finals.append(states)
-    return finals, n_photons
+    finals, n_photons = [], []
+    for sch in schedules:
+        straj = evolve_sensitivity(sch, tags, e, tol=tol,
+                                   t_samples=s_samples * sch.T)
+        finals.append([straj.final(k) for k in range(len(tags))])
+        b2 = 4.0 * np.abs(straj.b) ** 2
+        n_photons.append(b2 / (1.0 - b2))
+    return finals, np.array(n_photons).T
 
 
 def _check_omega(schedule: CouplingSchedule, omega: float) -> None:

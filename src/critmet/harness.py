@@ -70,7 +70,7 @@ def _need(d: dict, key: str, kinds, where: str):
     if key not in d:
         raise ConfigError(f"{where}: missing field {key!r}")
     v = d[key]
-    if not isinstance(v, kinds):
+    if isinstance(v, bool) or not isinstance(v, kinds):
         raise ConfigError(f"{where}.{key}: expected {kinds}, got {type(v).__name__}")
     return v
 
@@ -91,12 +91,14 @@ def parse_config(raw: dict) -> RunConfig:
     protocol = _need(raw, "protocol", dict, "config")
     est = _need(raw, "estimand", str, "config")
     grid = _need(raw, "t_grid", dict, "config")
-    for k in ("min", "max", "points"):
-        _need(grid, k, (int, float), "t_grid")
+    for k in ("min", "max"):
+        if not math.isfinite(_need(grid, k, (int, float), "t_grid")):
+            raise ConfigError(f"t_grid.{k}: need a finite number, got {grid[k]!r}")
     if grid["min"] <= 0 or grid["max"] < grid["min"]:
         raise ConfigError("t_grid: need 0 < min <= max")
-    if int(grid["points"]) < 1:
-        raise ConfigError("t_grid.points: grid must be non-empty")
+    points = _need(grid, "points", int, "t_grid")
+    if points < 1:
+        raise ConfigError(f"t_grid.points: grid must be non-empty, got {points}")
     etas = raw.get("eta", ["inf"])
     if not isinstance(etas, (list, tuple)) or not etas:
         raise ConfigError("eta: need a non-empty list of numbers or 'inf'")
@@ -104,7 +106,7 @@ def parse_config(raw: dict) -> RunConfig:
     for v in etas:
         if v == "inf":
             eta_t.append("inf")
-        elif isinstance(v, (int, float)) and v >= 1:
+        elif isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 1:
             eta_t.append(float(v))
         else:
             raise ConfigError(f"eta: bad entry {v!r}")
@@ -119,7 +121,7 @@ def parse_config(raw: dict) -> RunConfig:
         nmax = _int_at_least(raw, "nmax", None, 16)
     cfg = RunConfig(name=name, model=model, protocol=protocol, estimand=est,
                     t_grid={"min": float(grid["min"]), "max": float(grid["max"]),
-                            "points": int(grid["points"])},
+                            "points": points},
                     eta=tuple(eta_t), tol=float(tol), samples=samples,
                     nmax=nmax, workers=workers)
     # fail fast on unbuildable model/protocol/estimand combinations

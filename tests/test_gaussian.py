@@ -14,7 +14,7 @@ from critmet import gaussian
 from critmet.integrate import integrate
 from critmet.models import (AdiabaticRamp, DirectParams, EffectiveParams,
                             FiniteRamp, INFINITE_ETA, QuantumRabiParams,
-                            SuddenQuench, estimand, map_direct,
+                            SuddenQuench, chain_rule, estimand, map_direct,
                             map_quantum_rabi, rabi_coupling_for_g)
 
 
@@ -270,17 +270,17 @@ class TestSensitivity:
 
     def test_compiled_kernel_against_numpy_stepper(self):
         # the DOP853 kernel agrees with scipy's solve_ivp on the Riccati
-        # equation and its λ tangent, integrated in real time
-        e = rabi_at(0.9)
+        # equation and its λ tangent along an r = 2 ramp, in real time
+        e = rabi_critical()
         tag = estimand(e, "lambda")
         T = 12.0
-        sch = SuddenQuench(g_f=0.9, T=T)
+        sch = FiniteRamp(r=2.0, T=T)
         fast = evolve_sensitivity(sch, tag, e, tol=1e-11).final()
-        g2 = e.g ** 2
-        dg2 = 2.0 * g2 / tag.value       # g ∝ λ: ∂(g²)/∂λ = 2g²/λ
 
         def rhs(t, y):
             b, s = y
+            g2 = sch.value(t) ** 2
+            dg2 = 2.0 * g2 / tag.value   # g ∝ λ: ∂(g²)/∂λ = 2g²/λ
             db = -1j * (-0.25 * g2 + (2 - g2) * b - g2 * b * b)
             ds = (-1j * ((2 - g2) - 2 * g2 * b) * s
                   - 1j * (-0.25 - b - b * b) * dg2)
@@ -293,13 +293,13 @@ class TestSensitivity:
         assert abs(fast.db_dx - ref_s) < 1e-9 * abs(ref_s)
 
     def test_jitted_kernel_matches_python_kernel(self):
+        # skipped where numba is not installed
         pytest.importorskip("numba")
         from critmet import _fastpath as fp
 
-        Ts = np.array([10.0, 40.0, 160.0])
-        args = (fp.KIND_RAMP, np.full(3, 2.0), Ts, 1.0, np.array([0.5, 0.0]),
+        args = (fp.KIND_RAMP, 2.0, 40.0, 1.0, np.array([0.5, 0.0]),
                 np.array([0.0, 1.0]), 1e-10, np.linspace(0.1, 1.0, 10),
-                gaussian.NORMALIZABILITY_FLOOR, np.zeros((3, 3), complex))
+                gaussian.NORMALIZABILITY_FLOOR, np.zeros(3, complex))
         jit = fp.drive(*args)
         py = fp.drive.py_func(*args)
         assert jit[1:] == py[1:]         # steps, rejections, evaluations, status
@@ -331,6 +331,90 @@ class TestSensitivity:
         for tol in (0.0, -1e-10, float("nan")):
             with pytest.raises(ValueError, match="tol"):
                 evolve_b(sch, 1.0, tol=tol, samples=8)
+
+
+def riccati_reference(g2, omega, ts, b0, dg2, dw):
+    """(b, ∂b/∂x) at the times ts from solve_ivp on the Riccati equation and
+    its tangent at constant coupling, with ∂(g²)/∂x = dg2, ∂ω/∂x = dw."""
+    def rhs(t, y):
+        b, s = y
+        f = -1j * omega * (-0.25 * g2 + (2 - g2) * b - g2 * b * b)
+        ds = (-1j * omega * ((2 - g2) - 2 * g2 * b) * s
+              - 1j * omega * (-0.25 - b - b * b) * dg2 + f / omega * dw)
+        return [f, ds]
+
+    sol = solve_ivp(rhs, (0.0, ts[-1]), np.array([b0, 0.0], complex),
+                    method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-14)
+    return sol.y
+
+
+class TestQuenchClosedForm:
+    @pytest.mark.parametrize("g2", [0.5, 0.9, 1.0 - 1e-9, 1.0])
+    def test_sensitivity_against_solve_ivp(self, g2):
+        # the samples pass through both branches of ds/dq: the series
+        # below q = (ωt)²(1 - g²) = 1/2 and the closed form above it
+        e = rabi_at(math.sqrt(g2)) if g2 < 1.0 else rabi_critical()
+        tags = [estimand(e, "lambda"), estimand(e, "omega")]
+        ts = geometric_times(25.0, 33)[1:]
+        straj = evolve_sensitivity(SuddenQuench(g_f=e.g, T=25.0), tags, e,
+                                   t_samples=ts)
+        for k, tag in enumerate(tags):
+            dg_dx, dw_dx = chain_rule(tag, e)
+            ref_b, ref_s = riccati_reference(e.g ** 2, e.omega, ts, 0.0,
+                                             2.0 * e.g * dg_dx, dw_dx)
+            assert np.max(np.abs(straj.b - ref_b)) < 1e-10
+            assert np.max(np.abs(straj.db_dx[:, k] - ref_s) / np.abs(ref_s)) < 1e-10
+
+    def test_squeezed_initial_state_against_solve_ivp(self):
+        b0 = 0.1 + 0.05j
+        g2, omega, T = 0.9, 1.3, 17.0
+        y = gaussian._quench_closed_form(g2, omega, np.array([T]), b0,
+                                         np.array([0.7, 0.0]),
+                                         np.array([0.0, 1.0]))[0]
+        for k, (dg2, dw) in enumerate([(0.7, 0.0), (0.0, 1.0)]):
+            ref_b, ref_s = riccati_reference(g2, omega, [T], b0, dg2, dw)[:, 0]
+            assert abs(y[0] - ref_b) < 1e-10
+            assert abs(y[1 + k] - ref_s) < 1e-10 * abs(ref_s)
+        traj = evolve_b(SuddenQuench(g_f=math.sqrt(g2), T=T), omega, b0=b0)
+        assert traj.b[0] == b0 and abs(traj.b[-1] - y[0]) < 1e-12
+
+    def test_b_matches_exact_solution(self):
+        # rows shaped like the fig2/fig3 quench sweeps
+        for g in (0.894427190999915878, 1.0):
+            for T in np.geomspace(0.2, 500.0, 6):
+                traj = evolve_b(SuddenQuench(g_f=g, T=T), 1.0, samples=257)
+                b_ex = quench_b_exact(g, 1.0, traj.t)
+                assert np.max(np.abs(traj.b - b_ex)) <= 1e-12
+
+    def test_quench_makes_no_kernel_calls(self):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        e = rabi_critical()
+        original = gaussian.integrate
+        gaussian.integrate = counting
+        try:
+            straj = evolve_sensitivity(SuddenQuench(g_f=1.0, T=30.0),
+                                       estimand(e, "omega"), e,
+                                       t_samples=geometric_times(30.0, 257))
+        finally:
+            gaussian.integrate = original
+        assert calls == [] and straj.b.size == 257
+
+    def test_critical_blowup_time(self):
+        # at g = 1, 1 - 4|b|² = 4/((ωt)² + 4) reaches the floor at
+        # ωt = √(4/floor - 4)
+        omega = 2.0
+        floor = gaussian.NORMALIZABILITY_FLOOR
+        t_b = math.sqrt(4.0 / floor - 4.0) / omega
+        with pytest.raises(BlowUpError) as exc:
+            evolve_b(SuddenQuench(g_f=1.0, T=1.01 * t_b), omega, samples=64)
+        assert exc.value.t_blowup == pytest.approx(t_b, rel=1e-9)
+        traj = evolve_b(SuddenQuench(g_f=1.0, T=0.99 * t_b), omega, samples=64)
+        assert traj.n_photons[-1] < 1.0 / floor
 
 
 class TestQFI:

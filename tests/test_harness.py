@@ -89,6 +89,32 @@ class TestConfig:
         assert parse_config({**SMALL_CONFIG, "nmax": 16}).nmax == 16
         assert parse_config({**SMALL_CONFIG, "nmax": None}).nmax is None
 
+    def test_t_grid_points_must_be_positive_integer(self):
+        for v in (2.7, 3.0, "3", True, False, 0, -1):
+            grid = {"min": 1.0, "max": 10.0, "points": v}
+            with pytest.raises(ConfigError, match="^t_grid.points: "):
+                parse_config({**SMALL_CONFIG, "t_grid": grid})
+        grid = {"min": 1.0, "max": 10.0, "points": 3}
+        assert parse_config({**SMALL_CONFIG, "t_grid": grid}).t_grid["points"] == 3
+
+    def test_t_grid_ends_must_be_finite_numbers(self):
+        for end in ("min", "max"):
+            for v in (math.nan, math.inf, -math.inf, True):
+                grid = {"min": 1.0, "max": 10.0, "points": 3, end: v}
+                with pytest.raises(ConfigError, match=f"^t_grid.{end}: "):
+                    parse_config({**SMALL_CONFIG, "t_grid": grid})
+
+    def test_bool_eta_rejected(self):
+        for v in ([True], [False], ["inf", True]):
+            with pytest.raises(ConfigError, match="^eta: "):
+                parse_config({**SMALL_CONFIG, "eta": v})
+
+    def test_bool_numeric_fields_rejected(self):
+        with pytest.raises(ConfigError, match="^model.g: "):
+            parse_config({**SMALL_CONFIG, "model": {**SMALL_CONFIG["model"], "g": True}})
+        with pytest.raises(ConfigError, match="^protocol.r: "):
+            parse_config({**SMALL_CONFIG, "protocol": {"kind": "ramp", "r": True}})
+
     def test_import_and_parse_load_no_stepper(self):
         # importing critmet and parsing a config leave scipy.integrate, numba
         # and the stepper kernel unloaded: they are loaded on first use
