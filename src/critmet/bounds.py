@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import Trajectory
-from .models import (DirectParams, EffectiveParams, EstimandTag, LMGParams,
-                     QuantumRabiParams)
+from .models import EffectiveParams, EstimandTag, chain_rule
 
 
 @dataclass(frozen=True)
@@ -66,41 +65,20 @@ def mx_eigenvalues(q: QuadraticForm) -> tuple[float, float]:
 def estimand_form(e: EffectiveParams, x: EstimandTag, g: float) -> QuadraticForm:
     """M_x = ∂_x h_x for the effective Hamiltonian at instantaneous coupling g.
 
-    Derivatives are taken at fixed lab schedule: the coupling profile scales
-    multiplicatively with the target, so e.g. for the QR model ω g²(t) is
-    ω-independent and ∂_ω H = (p² + x²)/2 at any time.
+    h = ω[p²/2 + (1 − g²)x²/2] moves through ω and g only, at fixed lab
+    schedule (the coupling profile scales multiplicatively with its target,
+    so ∂g(t)/∂x = g(t) ∂ln g/∂x):
+
+        mxx = ½ω ∂ln ω (1 − g²) − ω g² ∂ln g,   mpp = ½ω ∂ln ω.
+
+    E.g. for the QR model ω g²(t) is ω-independent and ∂_ω h = (p² + x²)/2
+    at any time.
     """
+    dlog_w, dlog_g, _ = chain_rule(x, e)
     w = e.omega
     g2 = g * g
-    p = e.physical
-    if isinstance(p, QuantumRabiParams):
-        if x.name == "lambda":
-            if p.lam == 0:
-                raise ValueError("lambda-estimand form undefined at lambda = 0")
-            return QuadraticForm(mxx=-w * g2 / p.lam, mpp=0.0)
-        if x.name == "omega":
-            return QuadraticForm(mxx=0.5, mpp=0.5)
-        if x.name == "Omega":
-            return QuadraticForm(mxx=0.5 * w * g2 / p.Omega, mpp=0.0)
-        raise ValueError(f"estimand {x.name!r} does not belong to the QR model")
-    if isinstance(p, LMGParams):
-        if x.name == "Lambda":
-            if p.Lam == 0:
-                raise ValueError("Lambda-estimand form undefined at Lambda = 0")
-            return QuadraticForm(mxx=-0.5 * p.h * g2 / p.Lam, mpp=0.0)
-        if x.name == "h":
-            return QuadraticForm(mxx=0.5, mpp=0.5)
-        raise ValueError(f"estimand {x.name!r} does not belong to the LMG model")
-    if isinstance(p, (DirectParams, type(None))):
-        if x.name == "g":
-            if x.value == 0:
-                raise ValueError("g-estimand form undefined at g = 0")
-            return QuadraticForm(mxx=-w * g2 / x.value, mpp=0.0)
-        if x.name == "omega":
-            return QuadraticForm(mxx=0.5 * (1.0 - g2), mpp=0.5)
-        if x.name == "epsilon":
-            return QuadraticForm(mxx=0.5 * w, mpp=0.0)
-    raise ValueError(f"estimand {x.name!r} does not belong to the direct model")
+    return QuadraticForm(mxx=0.5 * w * dlog_w * (1.0 - g2) - w * g2 * dlog_g,
+                         mpp=0.5 * w * dlog_w)
 
 
 # ---------------------------------------------------------------------------

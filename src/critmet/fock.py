@@ -12,6 +12,11 @@ quench) and adaptive Lanczos-Krylov exponential steps with midpoint
 coupling when g(t) varies.  Both conserve the norm to rounding accuracy,
 which explicit Runge-Kutta stepping cannot sustain over the 10⁵-10⁶ steps
 the long ramps need.
+
+QFIs use the generator derivative ∂H/∂x, assembled from the same band
+components as H: exactly in the eigenbasis for a quench and the ground
+state, and as a central difference of branches H ± δx ∂H/∂x stepped in
+lockstep for a ramp.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .models import (CouplingSchedule, EffectiveParams, EstimandTag,
-                     LMGParams, QuantumRabiParams, QuarticKind,
-                     SuddenQuench, quartic_prefactor, schedule_value)
+                     QuarticKind, SuddenQuench, chain_rule, quartic_prefactor,
+                     schedule_value)
 
 TAIL_FRACTION = 0.9
 TAIL_LIMIT = 1e-10
@@ -68,6 +73,10 @@ def _s4(dim: int) -> np.ndarray:
 
 
 def _apply_banded(diag, off2, off4, psi):
+    """H ψ from the bands of H; ψ may be a vector or a stack of columns."""
+    if psi.ndim == 2:
+        diag, off2 = diag[:, None], off2[:, None]
+        off4 = None if off4 is None else off4[:, None]
     out = diag * psi
     out[:-2] += off2 * psi[2:]
     out[2:] += off2 * psi[:-2]
@@ -81,7 +90,9 @@ class _HamiltonianTemplate:
     """g-independent band components of H(g); bands(g) assembles them.
 
     H(g) = base + g²·(quadratic part) + f(g)·(quartic part), so a schedule
-    evaluation costs a few fused vector operations.
+    evaluation costs a few fused vector operations.  The parameter
+    derivative ∂H/∂x is the same three parts with other weights
+    (:meth:`d_bands`).
     """
 
     def __init__(self, omega: float, eta: float, quartic: QuarticKind, nmax: int):
@@ -110,16 +121,35 @@ class _HamiltonianTemplate:
             self.o4 = w_eta * 0.25 * _s4(dim)
 
     def bands(self, g: float):
-        g2 = g * g
-        diag = self.d0 + g2 * self.d2
-        off2 = g2 * self.o2
+        return self._assemble(g, 1.0, 1.0, 1.0)
+
+    def d_bands(self, g: float, dlog: tuple[float, float, float]):
+        """Bands of ∂H/∂x at coupling g, from :func:`chain_rule`'s
+        (∂ln ω, ∂ln g, ∂ln η)/∂x: the base scales as ω, the quadratic part as
+        ωg² and the quartic part as ωf(g)/η with f ∝ g^k (k = 4 for QR, 2
+        for LMG)."""
+        dw, dg, deta = dlog
+        k = 4.0 if self.quartic is QuarticKind.QR else 2.0
+        return self._assemble(g, dw, dw + 2.0 * dg, dw + k * dg - deta)
+
+    def _assemble(self, g, c_base, c_quad, c_quartic):
+        cg = c_quad * g * g
+        diag = c_base * self.d0 + cg * self.d2
+        off2 = cg * self.o2
         off4 = None
         f = quartic_prefactor(self.quartic, g)
         if f != 0.0 and self.d4 is not None:
-            diag = diag + f * self.d4
-            off2 = off2 + f * self.o24
-            off4 = f * self.o4
+            cf = c_quartic * f
+            diag = diag + cf * self.d4
+            off2 = off2 + cf * self.o24
+            off4 = cf * self.o4
         return diag, off2, off4
+
+    def hamiltonian(self, g: float) -> "BandedHamiltonian":
+        diag, off2, off4 = self.bands(g)
+        return BandedHamiltonian(omega=self.omega, g=g, eta=self.eta,
+                                 quartic=self.quartic, diag=diag, off2=off2,
+                                 off4=off4)
 
     def norm_bound(self, g: float) -> float:
         diag, off2, off4 = self.bands(g)
@@ -172,11 +202,8 @@ class BandedHamiltonian:
 
 def build_hamiltonian(e: EffectiveParams, g: float, nmax: int) -> BandedHamiltonian:
     """Assemble H at instantaneous coupling ``g`` (need not equal e.g;
-    schedules and finite-difference probes pass their own values)."""
-    tpl = _HamiltonianTemplate(e.omega, e.eta, e.quartic, nmax)
-    diag, off2, off4 = tpl.bands(g)
-    return BandedHamiltonian(omega=e.omega, g=g, eta=e.eta, quartic=e.quartic,
-                             diag=diag, off2=off2, off4=off4)
+    schedules pass their own values)."""
+    return _HamiltonianTemplate(e.omega, e.eta, e.quartic, nmax).hamiltonian(g)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +315,15 @@ def observables_fock(psi: FockVector | np.ndarray) -> Observables:
 
 
 # ---------------------------------------------------------------------------
-# propagation
+# propagation and QFI
 # ---------------------------------------------------------------------------
+
+RAMP_DELTA = 1e-5
+"""Relative step δ of a ramp QFI: its branches run H(t) ± δx ∂H/∂x."""
+
+_BLOCK = 128
+"""Rows per block of the d×d work arrays of the quench derivative."""
+
 
 @dataclass(frozen=True)
 class FockResult:
@@ -300,6 +334,7 @@ class FockResult:
     tail_max: float
     nsteps: int
     method: str
+    qfi: np.ndarray | None = None   # I_x at t, when an estimand was given
 
     @property
     def final(self) -> FockVector:
@@ -340,57 +375,94 @@ def _doubling(run, nmax: int, max_doublings: int = 4):
 
 
 def _propagate_core(schedule, e, *, nmax, tol, t_final=None, t_samples=None,
-                    g_scale: float = 1.0,
-                    omega: float | None = None, eta: float | None = None) -> FockResult:
-    """Propagation workhorse.  g_scale/omega/eta let finite-difference
-    probes rescale the system without touching the public parameter types
-    (the probe may step a hair across g = 1, where the quartic term keeps
-    the finite-η Hamiltonian perfectly regular)."""
-    omega = e.omega if omega is None else omega
-    eta = e.eta if eta is None else eta
+                    x: EstimandTag | None = None) -> FockResult:
+    """Propagation workhorse.  With an estimand ``x`` the result also
+    carries I_x at the samples, from ∂H/∂x."""
     T = t_final if t_final is not None else schedule.T
     if not 0 < T <= schedule.T * (1 + 1e-12):
         raise ValueError("t_final must lie in (0, schedule.T]")
     if t_samples is None:
         t_samples = np.array([T])
     t_samples = np.asarray(t_samples, dtype=float)
-    tpl = _HamiltonianTemplate(omega, eta, e.quartic, nmax)
-
-    def g_of(t):
-        return g_scale * schedule_value(schedule, t)
-
+    tpl = _HamiltonianTemplate(e.omega, e.eta, e.quartic, nmax)
+    dlog = None if x is None else chain_rule(x, e)
     if isinstance(schedule, SuddenQuench):
-        return _propagate_spectral(tpl, g_of(0.0), t_samples, nmax)
-    return _propagate_krylov(tpl, g_of, t_samples, nmax, tol)
+        return _propagate_spectral(tpl, schedule.g_f, t_samples, nmax, dlog)
+    return _propagate_krylov(tpl, lambda t: schedule_value(schedule, t),
+                             t_samples, nmax, tol, dlog,
+                             0.0 if x is None else RAMP_DELTA * x.value)
 
 
-def _propagate_spectral(tpl, g, t_samples, nmax) -> FockResult:
-    diag, off2, off4 = tpl.bands(g)
-    h = BandedHamiltonian(omega=tpl.omega, g=g, eta=tpl.eta, quartic=tpl.quartic,
-                          diag=diag, off2=off2, off4=off4)
-    evals, evecs = eig_banded(h.banded_upper(), lower=False)
-    psi0 = vacuum(nmax).amplitudes
-    c0 = evecs.T @ psi0
+def _propagate_spectral(tpl, g, t_samples, nmax, dlog=None) -> FockResult:
+    """Exact propagation from one decomposition H = V E Vᵀ; with ``dlog``
+    (:func:`chain_rule`) the exact I_x as well."""
+    evals, evecs = eig_banded(tpl.hamiltonian(g).banded_upper(), lower=False)
+    c0 = evecs[0]                             # Vᵀ|0⟩
     phases = np.exp(-1j * np.outer(t_samples, evals))
     states = (phases * c0[None, :]) @ evecs.T
     norms = np.linalg.norm(states, axis=1)
     tails = _tail_series(states, nmax)
     _check_tails(t_samples, tails, nmax)
+    qfi = None
+    if dlog is not None:
+        qfi = _quench_qfi(evals, evecs, tpl.d_bands(g, dlog), t_samples)
     return FockResult(t=t_samples, states=states, nmax=nmax,
                       norm_drift=float(np.max(np.abs(norms - 1.0))),
-                      tail_max=float(tails.max()), nsteps=1, method="spectral")
+                      tail_max=float(tails.max()), nsteps=1, method="spectral",
+                      qfi=qfi)
 
 
-def _propagate_krylov(tpl, g_of, t_samples, nmax, tol) -> FockResult:
+def _quench_qfi(evals, evecs, dbands, t_samples) -> np.ndarray:
+    """I_x(t) of e^{−iHt}|0⟩ from H = V E Vᵀ and the bands of ∂H/∂x.
+
+    Daleckii–Krein (Higham, Functions of Matrices, §3.2):
+    ∂ψ(t) = V[K(t) ∘ (Vᵀ∂H V)]c0, c0 = Vᵀ|0⟩, with the divided differences
+    K_jk = (e^{−iE_j t} − e^{−iE_k t})/(E_j − E_k) = −it p_j p_k sinc((E_j − E_k)t/2),
+    p = e^{−iEt/2}; the sinc form stays exact as E_j → E_k.  All of it is
+    evaluated in the eigenbasis, where ψ(t) = p²c0, in blocks of columns
+    or rows, so no d×d array beyond V and Vᵀ∂H V is formed; the symmetric
+    sinc ∘ Vᵀ∂H V is evaluated on and above the block diagonal only.
+    """
+    d = evals.size
+    w = np.empty_like(evecs)                  # Vᵀ ∂H V
+    for c in range(0, d, _BLOCK):
+        w[:, c:c + _BLOCK] = evecs.T @ _apply_banded(*dbands, evecs[:, c:c + _BLOCK])
+    c0 = evecs[0]
+    out = np.empty(t_samples.size)
+    for i, t in enumerate(t_samples):
+        p = np.exp(-0.5j * t * evals)
+        c0p = c0 * p
+        q = np.stack([c0p.real, c0p.imag], axis=1)
+        y = np.zeros((d, 2))                  # [sinc ∘ W] c0p, real and imaginary
+        for r in range(0, d, _BLOCK):
+            rows, below = slice(r, r + _BLOCK), r + _BLOCK
+            k = np.sinc((evals[rows, None] - evals[r:]) * (0.5 * t / math.pi))
+            k *= w[rows, r:]
+            y[rows] += k @ q[r:]
+            y[below:] += k[:, _BLOCK:].T @ q[rows]
+        dpsi = -1j * t * p * (y[:, 0] + 1j * y[:, 1])
+        out[i] = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(p * c0p, dpsi)) ** 2)
+    return out
+
+
+def _propagate_krylov(tpl, g_of, t_samples, nmax, tol, dlog=None,
+                      dx: float = 0.0) -> FockResult:
+    """Krylov exponential steps with midpoint coupling.  With ``dlog``
+    (:func:`chain_rule`) the branches H ± dx ∂H/∂x are stepped in lockstep
+    with the centre, on its step sequence (a failure in any branch halves
+    the common step), and the result carries their central difference."""
     T = t_samples[-1]
     # Krylov converges once m exceeds ~ dt*||H||/2; keep dt so the m_max
     # of the step routine has comfortable margin, adapting on failures.
     hnorm = max(tpl.norm_bound(g_of(0.0)), tpl.norm_bound(g_of(T)))
     dt_cap = 32.0 / hnorm
     dt = dt_cap
-    psi = vacuum(nmax).amplitudes
+    shifts = (0.0,) if dlog is None else (0.0, dx, -dx)
+    psi = np.zeros((len(shifts), nmax + 1), dtype=complex)
+    psi[:, 0] = 1.0
+    new = np.empty_like(psi)
     t = 0.0
-    out = np.empty((t_samples.size, nmax + 1), dtype=complex)
+    out = np.empty((len(shifts), t_samples.size, nmax + 1), dtype=complex)
     i_s = 0
     nsteps = 0
     norm_drift = 0.0
@@ -400,28 +472,43 @@ def _propagate_krylov(tpl, g_of, t_samples, nmax, tol) -> FockResult:
     while i_s < t_samples.size:
         target = t_samples[i_s]
         h_step = min(dt, target - t)
-        tmid = t + 0.5 * h_step
-        bands = tpl.bands(g_of(tmid))
-        ok, psi_new = _lanczos_expm(bands, psi, h_step, step_tol * h_step)
+        g = g_of(t + 0.5 * h_step)
+        bands = tpl.bands(g)
+        dbands = None if dlog is None else tpl.d_bands(g, dlog)
+        for b, shift in enumerate(shifts):
+            ok, new[b] = _lanczos_expm(_shifted(bands, dbands, shift), psi[b],
+                                       h_step, step_tol * h_step)
+            if not ok:
+                break
         if not ok:
             dt = 0.5 * h_step
             continue
-        psi = psi_new
+        psi, new = new, psi
         t += h_step
         nsteps += 1
         if h_step == dt:
             dt = min(dt * 1.25, dt_cap)
-        tail = float(np.sum(np.abs(psi[k0:]) ** 2))
+        tail = float(np.sum(np.abs(psi[:, k0:]) ** 2, axis=1).max())
         tail_max = max(tail_max, tail)
         if tail > TAIL_LIMIT:
             raise TruncationOverflow(t, tail, nmax)
-        norm_drift = max(norm_drift, abs(float(np.linalg.norm(psi)) - 1.0))
+        norm_drift = max(norm_drift,
+                         float(np.abs(np.linalg.norm(psi, axis=1) - 1.0).max()))
         if t >= target - 1e-15 * T:
-            out[i_s] = psi
+            out[:, i_s] = psi
             i_s += 1
-    return FockResult(t=t_samples, states=out, nmax=nmax,
+    qfi = None if dlog is None else _fd_qfi(out[0], out[1], out[2], dx)
+    return FockResult(t=t_samples, states=out[0], nmax=nmax,
                       norm_drift=norm_drift, tail_max=tail_max,
-                      nsteps=nsteps, method="krylov")
+                      nsteps=nsteps, method="krylov", qfi=qfi)
+
+
+def _shifted(bands, dbands, shift):
+    """Bands of H + shift·∂H."""
+    if shift == 0.0:
+        return bands
+    return tuple(None if a is None else a + shift * da
+                 for a, da in zip(bands, dbands))
 
 
 def _lanczos_expm(bands, psi, dt, err_tol, m_max: int = 48):
@@ -474,107 +561,14 @@ def _check_tails(t_samples, tails, nmax):
         raise TruncationOverflow(float(t_samples[bad[0]]), float(tails[bad[0]]), nmax)
 
 
-# ---------------------------------------------------------------------------
-# QFI by phase-aligned finite differences
-# ---------------------------------------------------------------------------
-
-def _perturbed_system(e: EffectiveParams, x: EstimandTag, rel: float):
-    """(omega, eta, g_scale) for the estimand displaced to x(1+rel).
-
-    The parameter maps are power laws, so the displaced system is an exact
-    rescaling: g -> g·scale with the profile shape untouched.
-    """
-    f = 1.0 + rel
-    p = e.physical
-    if isinstance(p, QuantumRabiParams):
-        if x.name == "lambda":
-            return e.omega, e.eta, f
-        if x.name == "omega":
-            return e.omega * f, e.eta / f, f ** -0.5
-        if x.name == "Omega":
-            return e.omega, e.eta * f, f ** -0.5
-    elif isinstance(p, LMGParams):
-        if x.name == "h":
-            return e.omega * f, e.eta, f ** -0.5
-        if x.name == "Lambda":
-            return e.omega, e.eta, f ** 0.5
-    else:
-        if x.name == "g":
-            return e.omega, e.eta, f
-        if x.name == "omega":
-            return e.omega * f, e.eta, 1.0
-        if x.name == "epsilon":
-            eps = 1.0 - e.g ** 2
-            return e.omega, e.eta, math.sqrt(1.0 - eps * f) / e.g
-    raise ValueError(f"estimand {x.name!r} does not belong to this model")
-
-
-@dataclass(frozen=True)
-class FockQFI:
-    t: np.ndarray
-    qfi: np.ndarray
-    delta_rel: float
-    qfi_halved: np.ndarray | None = None
-    nmax: int | None = None     # truncation used, after any doublings
-
-    @property
-    def converged(self) -> bool | None:
-        """Relative agreement under δ-halving within 1e-3 (None if unchecked)."""
-        if self.qfi_halved is None:
-            return None
-        scale = np.maximum(np.abs(self.qfi), 1e-300)
-        return bool(np.max(np.abs(self.qfi - self.qfi_halved) / scale) < 1e-3)
-
-
-def qfi_fock(schedule: CouplingSchedule, e: EffectiveParams, x: EstimandTag, *,
-             t_samples: np.ndarray | None = None, delta_rel: float = 1e-5,
-             nmax: int | None = None, tol: float = 1e-9,
-             check_delta: bool = False) -> FockQFI:
-    """QFI of the propagated state by central finite differences over the
-    physical estimand.
-
-    Three propagations (x, x(1±δ)); the branch states are phase-aligned to
-    the centre state before differencing (the QFI is gauge invariant, the
-    naive difference is not).  ``check_delta=True`` repeats the difference
-    at δ/2 to verify convergence.  On tail-occupation breach in any branch
-    the truncation is doubled and every branch restarted, as in
-    :func:`propagate`.
-    """
-    if t_samples is None:
-        t_samples = np.array([schedule.T])
-    t_samples = np.asarray(t_samples, dtype=float)
-
-    def at(n_use):
-        def branch(rel):
-            w, eta, scale = _perturbed_system(e, x, rel)
-            return _propagate_core(schedule, e, nmax=n_use, tol=tol,
-                                   t_samples=t_samples, g_scale=scale,
-                                   omega=w, eta=eta)
-
-        centre = branch(0.0)
-        qfi = _fd_qfi(centre, branch(delta_rel), branch(-delta_rel),
-                      x.value * delta_rel)
-        halved = None
-        if check_delta:
-            halved = _fd_qfi(centre, branch(0.5 * delta_rel),
-                             branch(-0.5 * delta_rel), 0.5 * x.value * delta_rel)
-        return FockQFI(t=t_samples, qfi=qfi, delta_rel=delta_rel,
-                       qfi_halved=halved, nmax=n_use)
-
-    return _doubling(at, nmax or auto_nmax(e.eta))
-
-
-def _fd_qfi(centre: FockResult, plus: FockResult, minus: FockResult,
-            dx: float) -> np.ndarray:
-    out = np.empty(centre.t.size)
-    for i in range(centre.t.size):
-        psi0 = centre.states[i]
-        psi_p = _align_phase(psi0, plus.states[i])
-        psi_m = _align_phase(psi0, minus.states[i])
-        dpsi = (psi_p - psi_m) / (2.0 * dx)
-        term1 = float(np.real(np.vdot(dpsi, dpsi)))
-        term2 = abs(np.vdot(psi0, dpsi)) ** 2
-        out[i] = 4.0 * (term1 - term2)
+def _fd_qfi(centre, plus, minus, dx: float) -> np.ndarray:
+    """4(⟨∂ψ|∂ψ⟩ − |⟨ψ|∂ψ⟩|²) per sample, with ∂ψ the central difference of
+    the branch states phase-aligned to the centre (the QFI is gauge
+    invariant, the naive difference is not)."""
+    out = np.empty(len(centre))
+    for i, psi0 in enumerate(centre):
+        dpsi = (_align_phase(psi0, plus[i]) - _align_phase(psi0, minus[i])) / (2.0 * dx)
+        out[i] = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi0, dpsi)) ** 2)
     return out
 
 
@@ -585,26 +579,38 @@ def _align_phase(reference: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return psi * (abs(ov) / ov)
 
 
+@dataclass(frozen=True)
+class FockQFI:
+    t: np.ndarray
+    qfi: np.ndarray
+    nmax: int     # truncation used, after any doublings
+
+
+def qfi_fock(schedule: CouplingSchedule, e: EffectiveParams, x: EstimandTag, *,
+             t_samples: np.ndarray | None = None, nmax: int | None = None,
+             tol: float = 1e-9) -> FockQFI:
+    """QFI of the propagated state with respect to the physical estimand,
+    from the generator derivative ∂H/∂x.
+
+    A sudden quench is differentiated exactly in the eigenbasis of one
+    decomposition (:func:`_quench_qfi`).  A ramp steps the branches
+    H(t) ± δx ∂H/∂x (δ = :data:`RAMP_DELTA`) in lockstep with the centre
+    and takes their phase-aligned central difference.  On tail-occupation
+    breach the truncation is doubled and the run restarted, as in
+    :func:`propagate`.
+    """
+    res = _doubling(lambda n: _propagate_core(schedule, e, nmax=n, tol=tol,
+                                              t_samples=t_samples, x=x),
+                    nmax or auto_nmax(e.eta))
+    return FockQFI(t=res.t, qfi=res.qfi, nmax=res.nmax)
+
+
 def ground_state_qfi(e: EffectiveParams, x: EstimandTag, *,
-                     nmax: int | None = None, delta_rel: float = 1e-5) -> float:
-    """QFI of the finite-η ground state by eigenvector finite differences."""
-    n_use = nmax or auto_nmax(e.eta)
-
-    def gs(rel):
-        w, eta, scale = _perturbed_system(e, x, rel)
-        tpl = _HamiltonianTemplate(w, eta, e.quartic, n_use)
-        diag, off2, off4 = tpl.bands(e.g * scale)
-        h = BandedHamiltonian(omega=w, g=e.g * scale, eta=eta, quartic=e.quartic,
-                              diag=diag, off2=off2, off4=off4)
-        return ground_state(h)[1]
-
-    v0 = gs(0.0)
-    vp = gs(delta_rel)
-    vm = gs(-delta_rel)
-    if np.dot(v0, vp) < 0:
-        vp = -vp
-    if np.dot(v0, vm) < 0:
-        vm = -vm
-    dx = x.value * delta_rel
-    dv = (vp - vm) / (2.0 * dx)
-    return 4.0 * (float(np.dot(dv, dv)) - float(np.dot(v0, dv)) ** 2)
+                     nmax: int | None = None) -> float:
+    """QFI of the finite-η ground state, 4 Σ_{n>0} |⟨n|∂H|0⟩|²/(E_n − E_0)²
+    from one decomposition (You, Li & Gu, PRE 76, 022101 (2007))."""
+    tpl = _HamiltonianTemplate(e.omega, e.eta, e.quartic, nmax or auto_nmax(e.eta))
+    evals, evecs = eig_banded(tpl.hamiltonian(e.g).banded_upper(), lower=False)
+    dh0 = _apply_banded(*tpl.d_bands(e.g, chain_rule(x, e)), evecs[:, 0])
+    m = (evecs[:, 1:].T @ dh0) / (evals[1:] - evals[0])
+    return 4.0 * float(np.dot(m, m))

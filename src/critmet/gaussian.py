@@ -351,12 +351,8 @@ def _sensitivity_coefficients(e: EffectiveParams,
     rho = np.zeros(len(tags))
     dw = np.zeros(len(tags))
     for i, tag in enumerate(tags):
-        dg_dx, dw_dx = chain_rule(tag, e)
-        if dg_dx != 0.0:
-            if e.g == 0.0:
-                raise ValueError("coupling sensitivity undefined for g = 0 protocols")
-            rho[i] = dg_dx / e.g
-        dw[i] = dw_dx
+        dlog_w, rho[i], _ = chain_rule(tag, e)
+        dw[i] = e.omega * dlog_w
     return rho, dw
 
 

@@ -357,38 +357,37 @@ def estimand(e: EffectiveParams, name: str) -> EstimandTag:
     return EstimandTag(name=name, value=values[name])
 
 
-def chain_rule(x: EstimandTag, e: EffectiveParams) -> tuple[float, float]:
-    """(∂g/∂x, ∂ω/∂x) of the effective pair with respect to the physical
-    estimand, at the nominal parameter point.
+# Exponents (a_ω, a_g, a_η) of the power laws ω ∝ x^a_ω, g ∝ x^a_g,
+# η ∝ x^a_η through which each estimand x moves the effective oscillator.
+_EXPONENTS = {
+    "QR": {"lambda": (0.0, 1.0, 0.0), "omega": (1.0, -0.5, -1.0),
+           "Omega": (0.0, -0.5, 1.0)},
+    "LMG": {"Lambda": (0.0, 0.5, 0.0), "h": (1.0, -0.5, 0.0)},
+    "direct": {"g": (0.0, 1.0, 0.0), "omega": (1.0, 0.0, 0.0)},
+}
 
-    The derivatives refer to the *target* coupling; along a schedule the
-    parameter maps are power laws in x, so ∂g(t)/∂x = g(t) · ∂ln g/∂x holds
-    pointwise (the schedule's time profile is lab-controlled and fixed).
+
+def chain_rule(x: EstimandTag, e: EffectiveParams) -> tuple[float, float, float]:
+    """(∂ln ω, ∂ln g, ∂ln η)/∂x of the effective oscillator with respect to
+    the physical estimand, at the nominal parameter point.
+
+    This is the one place that knows how an estimand moves the model; the
+    Gaussian sensitivities, the bound's M_x and the Fock ∂H/∂x all derive
+    from it.  ∂ln g refers to the *target* coupling: the parameter maps are
+    power laws in x, so ∂g(t)/∂x = g(t) · ∂ln g/∂x holds pointwise (the
+    schedule's time profile is lab-controlled and fixed).
     """
     p = e.physical
-    if isinstance(p, QuantumRabiParams):
-        if x.name == "lambda":
-            return 2.0 / math.sqrt(p.omega * p.Omega), 0.0
-        if x.name == "omega":
-            return -0.5 * e.g / p.omega, 1.0
-        if x.name == "Omega":
-            return -0.5 * e.g / p.Omega, 0.0
-        raise ValueError(f"estimand {x.name!r} does not belong to the QR model")
-    if isinstance(p, LMGParams):
-        if x.name == "Lambda":
-            if p.Lam == 0:
-                raise ValueError("d g/d Lambda diverges at Lambda = 0")
-            return 0.5 / math.sqrt(p.Lam * p.h), 0.0
-        if x.name == "h":
-            return -0.5 * e.g / p.h, 1.0
-        raise ValueError(f"estimand {x.name!r} does not belong to the LMG model")
-    # direct effective parameters
-    if x.name == "g":
-        return 1.0, 0.0
-    if x.name == "omega":
-        return 0.0, 1.0
-    if x.name == "epsilon":
+    model = ("QR" if isinstance(p, QuantumRabiParams)
+             else "LMG" if isinstance(p, LMGParams) else "direct")
+    if model == "direct" and x.name == "epsilon":
+        # g² = 1 − ε: the one estimand that is not a power law
         if e.g == 0:
-            raise ValueError("d g/d epsilon diverges at g = 0")
-        return -0.5 / e.g, 0.0
-    raise ValueError(f"estimand {x.name!r} does not belong to the direct model")
+            raise ValueError("d ln g/d epsilon diverges at g = 0")
+        return 0.0, -0.5 / (e.g * e.g), 0.0
+    if x.name not in _EXPONENTS[model]:
+        raise ValueError(f"estimand {x.name!r} does not belong to the {model} model")
+    if x.value == 0:
+        raise ValueError(f"d ln g/d {x.name} diverges at {x.name} = 0")
+    a_w, a_g, a_eta = _EXPONENTS[model][x.name]
+    return a_w / x.value, a_g / x.value, a_eta / x.value

@@ -8,9 +8,9 @@ from critmet.bounds import (QuadraticForm, bound_for_estimand,
                             estimand_form, general_bound, mx_eigenvalues,
                             quench_bound_closed, variance_quadratic)
 from critmet.gaussian import Trajectory, evolve_b, quench_b_exact
-from critmet.models import (EffectiveParams, INFINITE_ETA, LMGParams,
-                            QuantumRabiParams, SuddenQuench,
-                            estimand, map_lmg, map_quantum_rabi,
+from critmet.models import (DirectParams, EffectiveParams, INFINITE_ETA,
+                            LMGParams, QuantumRabiParams, SuddenQuench,
+                            estimand, map_direct, map_lmg, map_quantum_rabi,
                             rabi_coupling_for_g)
 
 
@@ -39,6 +39,41 @@ class TestEigenvalues:
         e = rabi_eff(1.0)
         q = estimand_form(e, estimand(e, "omega"), 1.0)
         assert mx_eigenvalues(q) == (0.5, 0.5)
+
+    def test_every_estimand_form(self):
+        # the generic ∂h/∂x reproduces each model's closed form at any
+        # instantaneous coupling g of the schedule
+        p = QuantumRabiParams(omega=2.0, Omega=200.0, lam=9.0)
+        e = map_quantum_rabi(p)
+        q = LMGParams(h=4.0, Lam=1.0, N=50)
+        el = map_lmg(q)
+        ed = map_direct(DirectParams(omega=1.5, eta=INFINITE_ETA, g=0.6))
+        for g in (0.2, 0.6, 0.9, 1.0):
+            g2 = g * g
+            want = {
+                (e, "lambda"): (-e.omega * g2 / p.lam, 0.0),
+                (e, "omega"): (0.5, 0.5),
+                (e, "Omega"): (0.5 * e.omega * g2 / p.Omega, 0.0),
+                (el, "Lambda"): (-0.5 * q.h * g2 / q.Lam, 0.0),
+                (el, "h"): (0.5, 0.5),
+                (ed, "g"): (-ed.omega * g2 / ed.g, 0.0),
+                (ed, "omega"): (0.5 * (1.0 - g2), 0.5),
+                # g(t) scales with its target: ε = 1 − g_target²
+                (ed, "epsilon"): (0.5 * ed.omega * g2 / ed.g ** 2, 0.0),
+            }
+            for (eff, name), (mxx, mpp) in want.items():
+                form = estimand_form(eff, estimand(eff, name), g)
+                assert form.mxx == pytest.approx(mxx, rel=1e-14, abs=1e-15), name
+                assert form.mpp == pytest.approx(mpp, rel=1e-14, abs=1e-15), name
+                assert form.mxp == 0.0
+
+    def test_zero_coupling_forms_rejected(self):
+        cases = [map_quantum_rabi(QuantumRabiParams(omega=1.0, Omega=1e2, lam=0.0)),
+                 map_lmg(LMGParams(h=1.0, Lam=0.0, N=10)),
+                 map_direct(DirectParams(omega=1.0, eta=INFINITE_ETA, g=0.0))]
+        for eff, name in zip(cases, ("lambda", "Lambda", "g")):
+            with pytest.raises(ValueError):
+                estimand_form(eff, estimand(eff, name), 0.5)
 
     def test_pauli_x(self):
         phi, chi = mx_eigenvalues(QuadraticForm(mxx=0.0, mpp=0.0, mxp=1.0))

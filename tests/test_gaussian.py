@@ -359,9 +359,10 @@ class TestQuenchClosedForm:
         straj = evolve_sensitivity(SuddenQuench(g_f=e.g, T=25.0), tags, e,
                                    t_samples=ts)
         for k, tag in enumerate(tags):
-            dg_dx, dw_dx = chain_rule(tag, e)
+            dlog_w, dlog_g, _ = chain_rule(tag, e)
             ref_b, ref_s = riccati_reference(e.g ** 2, e.omega, ts, 0.0,
-                                             2.0 * e.g * dg_dx, dw_dx)
+                                             2.0 * e.g ** 2 * dlog_g,
+                                             e.omega * dlog_w)
             assert np.max(np.abs(straj.b - ref_b)) < 1e-10
             assert np.max(np.abs(straj.db_dx[:, k] - ref_s) / np.abs(ref_s)) < 1e-10
 

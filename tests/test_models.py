@@ -132,30 +132,35 @@ class TestSchedules:
 
 
 class TestChainRule:
+    # chain_rule returns (∂ln ω, ∂ln g, ∂ln η)/∂x; the asserted ∂g/∂x and
+    # ∂ω/∂x values are g·∂ln g and ω·∂ln ω
+
     def _rabi(self):
         return map_quantum_rabi(QuantumRabiParams(omega=2.0, Omega=200.0, lam=9.0))
 
     def test_rabi_values(self):
         e = self._rabi()
         p = e.physical
-        dg, dw = chain_rule(estimand(e, "lambda"), e)
-        assert dg == pytest.approx(e.g / p.lam, rel=1e-14)
+        dw, dg, deta = chain_rule(estimand(e, "lambda"), e)
+        assert e.g * dg == pytest.approx(e.g / p.lam, rel=1e-14)
+        assert dw == 0.0 and deta == 0.0
+        dw, dg, deta = chain_rule(estimand(e, "omega"), e)
+        assert e.g * dg == pytest.approx(-0.5 * e.g / p.omega, rel=1e-14)
+        assert e.omega * dw == 1.0
+        assert deta == pytest.approx(-1.0 / p.omega, rel=1e-14)
+        dw, dg, deta = chain_rule(estimand(e, "Omega"), e)
+        assert e.g * dg == pytest.approx(-0.5 * e.g / p.Omega, rel=1e-14)
         assert dw == 0.0
-        dg, dw = chain_rule(estimand(e, "omega"), e)
-        assert dg == pytest.approx(-0.5 * e.g / p.omega, rel=1e-14)
-        assert dw == 1.0
-        dg, dw = chain_rule(estimand(e, "Omega"), e)
-        assert dg == pytest.approx(-0.5 * e.g / p.Omega, rel=1e-14)
-        assert dw == 0.0
+        assert deta == pytest.approx(1.0 / p.Omega, rel=1e-14)
 
     def test_lmg_values(self):
         e = map_lmg(LMGParams(h=4.0, Lam=1.0, N=50))
-        dg, dw = chain_rule(estimand(e, "Lambda"), e)
-        assert dg == pytest.approx(e.g / (2 * 1.0), rel=1e-14)
-        assert dw == 0.0
-        dg, dw = chain_rule(estimand(e, "h"), e)
-        assert dg == pytest.approx(-e.g / (2 * 4.0), rel=1e-14)
-        assert dw == 1.0
+        dw, dg, deta = chain_rule(estimand(e, "Lambda"), e)
+        assert e.g * dg == pytest.approx(e.g / (2 * 1.0), rel=1e-14)
+        assert dw == 0.0 and deta == 0.0
+        dw, dg, deta = chain_rule(estimand(e, "h"), e)
+        assert e.g * dg == pytest.approx(-e.g / (2 * 4.0), rel=1e-14)
+        assert e.omega * dw == 1.0 and deta == 0.0
 
     def test_mismatch_rejected(self):
         e = self._rabi()
@@ -164,50 +169,62 @@ class TestChainRule:
         with pytest.raises(ValueError):
             estimand(e, "Lambda")
 
+    def test_zero_coupling_rejected(self):
+        e = map_quantum_rabi(QuantumRabiParams(omega=2.0, Omega=200.0, lam=0.0))
+        with pytest.raises(ValueError, match="diverges"):
+            chain_rule(estimand(e, "lambda"), e)
+        el = map_lmg(LMGParams(h=4.0, Lam=0.0, N=50))
+        with pytest.raises(ValueError, match="diverges"):
+            chain_rule(estimand(el, "Lambda"), el)
+        ed = map_direct(DirectParams(omega=1.5, eta=INFINITE_ETA, g=0.0))
+        for name in ("g", "epsilon"):
+            with pytest.raises(ValueError, match="diverges"):
+                chain_rule(estimand(ed, name), ed)
+
     def test_finite_difference_consistency(self):
-        # central differences of the maps reproduce the analytic derivatives
+        # central differences of the maps reproduce the analytic logarithmic
+        # derivatives of ω, g and η
         rel = 1e-6
 
-        def fd(build, x0):
+        def check(build, e, name):
+            tag = estimand(e, name)
+            x0 = tag.value
             ep = build(x0 * (1 + rel))
             em = build(x0 * (1 - rel))
             d = 2 * x0 * rel
-            return (ep.g - em.g) / d, (ep.omega - em.omega) / d
+            fd = [(math.log(a) - math.log(b)) / d for a, b in
+                  ((ep.omega, em.omega), (ep.g, em.g), (ep.eta, em.eta))]
+            for got, want in zip(chain_rule(tag, e), fd):
+                assert want == pytest.approx(got, rel=1e-6, abs=1e-12), name
 
         p = QuantumRabiParams(omega=2.0, Omega=200.0, lam=9.0)
         e = map_quantum_rabi(p)
-        cases = {
-            "lambda": lambda v: map_quantum_rabi(
-                QuantumRabiParams(omega=p.omega, Omega=p.Omega, lam=v)),
-            "omega": lambda v: map_quantum_rabi(
-                QuantumRabiParams(omega=v, Omega=p.Omega, lam=p.lam)),
-            "Omega": lambda v: map_quantum_rabi(
-                QuantumRabiParams(omega=p.omega, Omega=v, lam=p.lam)),
-        }
-        for name, build in cases.items():
-            tag = estimand(e, name)
-            dg_fd, dw_fd = fd(build, tag.value)
-            dg, dw = chain_rule(tag, e)
-            assert dg_fd == pytest.approx(dg, rel=1e-6, abs=1e-12)
-            assert dw_fd == pytest.approx(dw, rel=1e-6, abs=1e-12)
+        check(lambda v: map_quantum_rabi(
+            QuantumRabiParams(omega=p.omega, Omega=p.Omega, lam=v)), e, "lambda")
+        check(lambda v: map_quantum_rabi(
+            QuantumRabiParams(omega=v, Omega=p.Omega, lam=p.lam)), e, "omega")
+        check(lambda v: map_quantum_rabi(
+            QuantumRabiParams(omega=p.omega, Omega=v, lam=p.lam)), e, "Omega")
 
         q = LMGParams(h=4.0, Lam=1.0, N=50)
         el = map_lmg(q)
-        lmg_cases = {
-            "Lambda": lambda v: map_lmg(LMGParams(h=q.h, Lam=v, N=q.N)),
-            "h": lambda v: map_lmg(LMGParams(h=v, Lam=q.Lam, N=q.N)),
-        }
-        for name, build in lmg_cases.items():
-            tag = estimand(el, name)
-            dg_fd, dw_fd = fd(build, tag.value)
-            dg, dw = chain_rule(tag, el)
-            assert dg_fd == pytest.approx(dg, rel=1e-6, abs=1e-12)
-            assert dw_fd == pytest.approx(dw, rel=1e-6, abs=1e-12)
+        check(lambda v: map_lmg(LMGParams(h=q.h, Lam=v, N=q.N)), el, "Lambda")
+        check(lambda v: map_lmg(LMGParams(h=v, Lam=q.Lam, N=q.N)), el, "h")
+
+        r = DirectParams(omega=1.5, eta=80.0, g=0.6)
+        ed = map_direct(r)
+        check(lambda v: map_direct(DirectParams(omega=r.omega, eta=r.eta, g=v)),
+              ed, "g")
+        check(lambda v: map_direct(DirectParams(omega=v, eta=r.eta, g=r.g)),
+              ed, "omega")
+        check(lambda v: map_direct(DirectParams(omega=r.omega, eta=r.eta,
+                                                g=math.sqrt(1 - v))), ed, "epsilon")
 
     def test_direct_estimands(self):
         e = map_direct(DirectParams(omega=1.5, eta=INFINITE_ETA, g=0.6))
-        assert chain_rule(estimand(e, "g"), e) == (1.0, 0.0)
-        assert chain_rule(estimand(e, "omega"), e) == (0.0, 1.0)
-        dg, dw = chain_rule(estimand(e, "epsilon"), e)
-        assert dg == pytest.approx(-1.0 / (2 * 0.6))
+        assert chain_rule(estimand(e, "g"), e) == (0.0, 1.0 / 0.6, 0.0)
+        assert chain_rule(estimand(e, "omega"), e) == (1.0 / 1.5, 0.0, 0.0)
+        dw, dg, deta = chain_rule(estimand(e, "epsilon"), e)
+        assert e.g * dg == pytest.approx(-1.0 / (2 * 0.6))
+        assert dw == 0.0 and deta == 0.0
         assert estimand(e, "epsilon").value == pytest.approx(1 - 0.36)
