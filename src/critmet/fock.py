@@ -16,7 +16,9 @@ the long ramps need.
 QFIs use the generator derivative ∂H/∂x, assembled from the same band
 components as H: exactly in the eigenbasis for a quench and the ground
 state, and as a central difference of branches H ± δx ∂H/∂x stepped in
-lockstep for a ramp.
+lockstep for a ramp.  ``propagate(..., x=tag, t_samples=ts)`` returns the
+states and I_x at every sample time from one run: one decomposition for a
+quench, one trajectory for a ramp.
 """
 
 from __future__ import annotations
@@ -347,31 +349,29 @@ class FockResult:
 def propagate(schedule: CouplingSchedule, e: EffectiveParams, *,
               t_final: float | None = None, nmax: int | None = None,
               tol: float = 1e-9, t_samples: np.ndarray | None = None,
+              x: EstimandTag | None = None,
               max_doublings: int = 4) -> FockResult:
     """Solve i dψ/dt = H(g(t)) ψ from the vacuum.
 
     Uses the exact eigendecomposition for a sudden quench (g constant) and
-    adaptive Krylov exponential steps otherwise.  On tail-occupation breach
-    the truncation is doubled and the run restarted, up to
-    ``max_doublings`` times.
+    adaptive Krylov exponential steps otherwise.  With an estimand ``x`` the
+    result also carries I_x at every sample (``FockResult.qfi``), from the
+    same run that gives the states.  On tail-occupation breach the
+    truncation is doubled and the run restarted, up to ``max_doublings``
+    times (the last overflow is re-raised); ``FockResult.nmax`` is the
+    truncation used.
     """
     if e.is_thermodynamic and e.quartic is not QuarticKind.NONE:
         raise ValueError("eta = inf uses the Gaussian path")
-    return _doubling(lambda n: _propagate_core(schedule, e, nmax=n, tol=tol,
-                                               t_final=t_final,
-                                               t_samples=t_samples),
-                     nmax or auto_nmax(e.eta), max_doublings)
-
-
-def _doubling(run, nmax: int, max_doublings: int = 4):
-    """``run(n)`` at n = nmax, restarted at 2n on :class:`TruncationOverflow`
-    up to ``max_doublings`` times (the last overflow is re-raised)."""
-    for _ in range(max_doublings):
+    nmax = nmax or auto_nmax(e.eta)
+    for doublings in range(max_doublings + 1):
         try:
-            return run(nmax)
+            return _propagate_core(schedule, e, nmax=nmax, tol=tol,
+                                   t_final=t_final, t_samples=t_samples, x=x)
         except TruncationOverflow:
+            if doublings == max_doublings:
+                raise
             nmax *= 2
-    return run(nmax)
 
 
 def _propagate_core(schedule, e, *, nmax, tol, t_final=None, t_samples=None,
@@ -494,8 +494,8 @@ def _propagate_krylov(tpl, g_of, t_samples, nmax, tol, dlog=None,
             raise TruncationOverflow(t, tail, nmax)
         norm_drift = max(norm_drift,
                          float(np.abs(np.linalg.norm(psi, axis=1) - 1.0).max()))
-        if t >= target - 1e-15 * T:
-            out[:, i_s] = psi
+        while i_s < t_samples.size and t >= t_samples[i_s] - 1e-15 * T:
+            out[:, i_s] = psi               # equal sample times share it
             i_s += 1
     qfi = None if dlog is None else _fd_qfi(out[0], out[1], out[2], dx)
     return FockResult(t=t_samples, states=out[0], nmax=nmax,
@@ -579,30 +579,18 @@ def _align_phase(reference: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return psi * (abs(ov) / ov)
 
 
-@dataclass(frozen=True)
-class FockQFI:
-    t: np.ndarray
-    qfi: np.ndarray
-    nmax: int     # truncation used, after any doublings
-
-
 def qfi_fock(schedule: CouplingSchedule, e: EffectiveParams, x: EstimandTag, *,
              t_samples: np.ndarray | None = None, nmax: int | None = None,
-             tol: float = 1e-9) -> FockQFI:
-    """QFI of the propagated state with respect to the physical estimand,
-    from the generator derivative ∂H/∂x.
+             tol: float = 1e-9) -> FockResult:
+    """QFI of the propagated state with respect to the physical estimand:
+    :func:`propagate` with ``x``; I_x at the samples is ``.qfi``.
 
     A sudden quench is differentiated exactly in the eigenbasis of one
     decomposition (:func:`_quench_qfi`).  A ramp steps the branches
     H(t) ± δx ∂H/∂x (δ = :data:`RAMP_DELTA`) in lockstep with the centre
-    and takes their phase-aligned central difference.  On tail-occupation
-    breach the truncation is doubled and the run restarted, as in
-    :func:`propagate`.
+    and takes their phase-aligned central difference.
     """
-    res = _doubling(lambda n: _propagate_core(schedule, e, nmax=n, tol=tol,
-                                              t_samples=t_samples, x=x),
-                    nmax or auto_nmax(e.eta))
-    return FockQFI(t=res.t, qfi=res.qfi, nmax=res.nmax)
+    return propagate(schedule, e, x=x, t_samples=t_samples, nmax=nmax, tol=tol)
 
 
 def ground_state_qfi(e: EffectiveParams, x: EstimandTag, *,

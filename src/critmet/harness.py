@@ -1,10 +1,14 @@
 """Sweep orchestration: config parsing, grid execution, CSV/manifest output,
 exponent-fit and bound-verification passes over result files.
 
-A run produces one row per (η, T) grid point.  Rows are computed by a
-fixed-size worker pool but buffered and emitted in grid order, so the CSV
-is byte-identical for identical configs regardless of scheduling.  Wall
-times go to the manifest only, never into the CSV.
+A run produces one row per (η, T) grid point.  The pool's unit of work is
+a row group: at finite η a quench or adiabatic ramp, whose g(t) does not
+depend on T, puts all its T values in one group, computed by one Fock run
+sampled at every T; any other row is a group of its own.  Groups run on a
+fixed-size worker pool, and their rows are buffered and emitted in grid
+order, so the CSV is byte-identical for identical configs regardless of
+scheduling.  Wall times and truncations go to the manifest only, never
+into the CSV.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from . import __version__
 from .bounds import bound_for_estimand
 from .gaussian import (BlowUpError, Trajectory, evolve_sensitivity,
                        qfi_squeezed, snr)
-from .fock import TruncationOverflow, observables_fock, propagate, qfi_fock
+# qfi_fock is not called here: sweepbench/tracer.py times harness.qfi_fock
+# and harness.propagate by attribute name, and needs both to exist.
+from .fock import TruncationOverflow, observables_fock, propagate, qfi_fock  # noqa: F401
 from .integrate import numba_version
 from .models import (AdiabaticRamp, DirectParams, EffectiveParams, FiniteRamp,
                      LMGParams, QuantumRabiParams, QuarticKind, SuddenQuench,
@@ -210,7 +216,7 @@ class ResultRow:
     N_final: float | None
     regime: str
     error: str = ""
-    wall_time: float = 0.0
+    nmax: int | None = None   # Fock truncation used (manifest only)
 
     def csv_values(self) -> list[str]:
         def fmt(v):
@@ -234,40 +240,77 @@ def _grid_times(cfg: RunConfig, omega: float) -> np.ndarray:
     return np.geomspace(g["min"], g["max"], int(g["points"])) / omega
 
 
-def _run_point(args: tuple) -> ResultRow:
-    cfg_raw, eta, T = args
+# Protocols whose g(t) does not depend on T: at finite η all rows of one η
+# are samples of one Fock run to the longest T, and form one pool task.
+_SHARED_RUN = ("quench", "adiabatic")
+
+
+def _run_group(args: tuple) -> list[ResultRow]:
+    cfg_raw, eta, Ts = args
     cfg = RunConfig(**cfg_raw)
-    t0 = time.perf_counter()
     eff = build_effective(cfg.model, eta)
-    sch = build_schedule(cfg.protocol, eff, T)
     tag = estimand(eff, cfg.estimand)
-    report = regime_boundaries(eff, sch)
-    row = ResultRow(protocol=report.protocol, estimand=cfg.estimand,
-                    eta=eta, T=T, I_x=None, Q_x=None, bound_I=None,
-                    N_final=None, regime=report.label(eff.omega * T))
+    rows = []
+    for T in Ts:
+        sch = build_schedule(cfg.protocol, eff, T)
+        report = regime_boundaries(eff, sch)
+        rows.append(ResultRow(protocol=report.protocol, estimand=cfg.estimand,
+                              eta=eta, T=T, I_x=None, Q_x=None, bound_I=None,
+                              N_final=None, regime=report.label(eff.omega * T)))
+    if eff.is_thermodynamic:
+        (row,) = rows               # sch is this row's schedule
+        _gaussian_row(cfg, eff, tag, row, sch)
+    else:
+        _fock_rows(cfg, eff, tag, rows)
+    return rows
+
+
+def _failed(row: ResultRow, exc: Exception) -> None:
+    row.error = f"{type(exc).__name__}: {exc}"
+
+
+def _gaussian_row(cfg: RunConfig, eff, tag, row: ResultRow, sch) -> None:
     try:
-        if eff.is_thermodynamic:
-            straj = evolve_sensitivity(sch, tag, eff, tol=cfg.tol,
-                                       t_samples=_bound_grid(T, cfg.samples))
-            ix = qfi_squeezed(straj.final())
-            traj = Trajectory(t=straj.t, b=np.array(straj.b), schedule=sch,
-                              omega=eff.omega, tol=cfg.tol, nsteps=0)
-            rep = bound_for_estimand(traj, eff, tag)
-            row.I_x = ix
-            row.Q_x = snr(tag, ix)
-            row.bound_I = rep.bound
-            row.N_final = traj.final_state.n_photons
-        else:
-            res = qfi_fock(sch, eff, tag, nmax=cfg.nmax, tol=min(cfg.tol, 1e-9))
-            prop = propagate(sch, eff, nmax=cfg.nmax, tol=min(cfg.tol, 1e-9))
-            ix = float(res.qfi[-1])
-            row.I_x = ix
-            row.Q_x = snr(tag, ix)
-            row.N_final = observables_fock(prop.final).n
-    except (BlowUpError, TruncationOverflow, ValueError, RuntimeError) as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
-    row.wall_time = time.perf_counter() - t0
-    return row
+        straj = evolve_sensitivity(sch, tag, eff, tol=cfg.tol,
+                                   t_samples=_bound_grid(row.T, cfg.samples))
+        ix = qfi_squeezed(straj.final())
+        traj = Trajectory(t=straj.t, b=np.array(straj.b), schedule=sch,
+                          omega=eff.omega, tol=cfg.tol, nsteps=0)
+        rep = bound_for_estimand(traj, eff, tag)
+        row.I_x = ix
+        row.Q_x = snr(tag, ix)
+        row.bound_I = rep.bound
+        row.N_final = traj.final_state.n_photons
+    except (BlowUpError, ValueError, RuntimeError) as exc:
+        _failed(row, exc)
+
+
+def _fock_rows(cfg: RunConfig, eff, tag, rows: list[ResultRow]) -> None:
+    """One :func:`propagate` run to the last row's T, sampled at every row's
+    T, gives each row its I_x and N_final.  An overflow at t_b fails the
+    rows with T >= t_b (the last row always) and the rest run again."""
+    while rows:
+        sch = build_schedule(cfg.protocol, eff, rows[-1].T)
+        try:
+            res = propagate(sch, eff, x=tag, nmax=cfg.nmax,
+                            tol=min(cfg.tol, 1e-9),
+                            t_samples=np.array([r.T for r in rows]))
+        except TruncationOverflow as exc:
+            kept = [r for r in rows[:-1] if r.T < exc.t]
+            for row in rows[len(kept):]:
+                _failed(row, exc)
+            rows = kept
+            continue
+        except (ValueError, RuntimeError) as exc:
+            for row in rows:
+                _failed(row, exc)
+            return
+        for row, ix, amp in zip(rows, res.qfi, res.states):
+            row.I_x = float(ix)
+            row.Q_x = snr(tag, row.I_x)
+            row.N_final = observables_fock(amp).n
+            row.nmax = res.nmax
+        return
 
 
 def _bound_grid(T: float, samples: int) -> np.ndarray:
@@ -284,17 +327,20 @@ def run(cfg: RunConfig, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    tasks = []
+    tasks = []          # (config, η, row times) per row group, grid order
     for eta in cfg.eta:
         eff = build_effective(cfg.model, eta)
-        for T in _grid_times(cfg, eff.omega):
-            tasks.append((asdict(cfg), eta, float(T)))
-
+        Ts = tuple(float(T) for T in _grid_times(cfg, eff.omega))
+        if eta != "inf" and cfg.protocol["kind"] in _SHARED_RUN:
+            tasks.append((asdict(cfg), eta, Ts))
+        else:
+            tasks.extend((asdict(cfg), eta, (T,)) for T in Ts)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_point, tasks, chunksize=1))
+            groups = list(pool.map(_run_group, tasks, chunksize=1))
     else:
-        rows = [_run_point(t) for t in tasks]
+        groups = [_run_group(t) for t in tasks]
+    rows = [row for group in groups for row in group]
 
     results = out / "results.csv"
     with open(results, "w", encoding="utf-8", newline="") as fh:
@@ -321,6 +367,9 @@ def run(cfg: RunConfig, out_dir: str | Path) -> Path:
         "rows": len(rows),
         "failures": sum(1 for r in rows if r.error),
         "regimes": regimes,
+        # truncation each finite-η row ended at after doublings (null: failed)
+        "fock_nmax": {str(eta): [r.nmax for r in rows if r.eta == eta]
+                      for eta in cfg.eta if eta != "inf"},
         "wall_time_s": time.perf_counter() - t_start,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

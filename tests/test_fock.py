@@ -42,6 +42,36 @@ def pure_qfi(psi, dpsi):
     return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
 
 
+def adiabatic_ramp_reference(nmax, Ts, *, omega=1.0, Omega=100.0, phi_ad=0.05):
+    """(I_ω, ⟨N⟩) at the increasing times ``Ts`` of the critical Rabi
+    adiabatic ramp, λ = √(ωΩ)/2, from (ψ, ∂ψ) propagated together by
+    solve_ivp on the same truncation n <= nmax:
+    i dψ/dt = Hψ, i d∂ψ/dt = H∂ψ + ∂H/∂ω ψ, ∂H/∂ω = (p² + x²)/2 at fixed
+    λ, Ω and lab schedule.  Each interval between sample times is one
+    solve_ivp run, so every value is taken at a step end."""
+    from scipy.integrate import solve_ivp
+    lam = 0.5 * math.sqrt(omega * Omega)
+    sch = AdiabaticRamp(phi_ad=phi_ad, omega=omega, T=Ts[-1])
+    x2, p2, x4 = ladder_operators(nmax)
+    h0 = 0.5 * omega * (p2 + x2)
+    dim = nmax + 1
+
+    def rhs(t, y):
+        s2 = sch.value(t) ** 2
+        h = h0 - (2 * lam ** 2 / Omega) * s2 * x2 + (4 * lam ** 4 / Omega ** 3) * s2 * s2 * x4
+        return -1j * np.concatenate([h @ y[:dim], h @ y[dim:] + (h0 / omega) @ y[:dim]])
+
+    y = np.zeros(2 * dim, dtype=complex)
+    y[0] = 1.0
+    t0, out = 0.0, []
+    for T in Ts:
+        y = solve_ivp(rhs, (t0, T), y, method="DOP853", rtol=1e-11, atol=1e-13).y[:, -1]
+        t0 = T
+        out.append((pure_qfi(y[:dim], y[dim:]),
+                    float(np.sum(np.arange(dim) * np.abs(y[:dim]) ** 2))))
+    return out
+
+
 class TestHamiltonian:
     def test_harmonic_limit(self):
         h = build_hamiltonian(direct(0.0, 100.0, QuarticKind.NONE), 0.0, 64)
@@ -333,26 +363,10 @@ class TestQFIFock:
                                 "32/||H|| of a small truncation (5.9% here)")),
         160])
     def test_lockstep_ramp_branches(self, nmax):
-        # (ψ, ∂ψ) propagated together by solve_ivp on the same truncation:
-        # i dψ/dt = Hψ, i d∂ψ/dt = H∂ψ + ∂H/∂ω ψ, ∂H/∂ω = (p² + x²)/2 at
-        # fixed λ, Ω and lab schedule
-        from scipy.integrate import solve_ivp
         omega, Omega, T = 1.0, 100.0, 20.0
+        ((want, _),) = adiabatic_ramp_reference(nmax, [T], omega=omega, Omega=Omega)
         lam = 0.5 * math.sqrt(omega * Omega)
         sch = AdiabaticRamp(phi_ad=0.05, omega=omega, T=T)
-        x2, p2, x4 = ladder_operators(nmax)
-        h0 = 0.5 * omega * (p2 + x2)
-        dim = nmax + 1
-
-        def rhs(t, y):
-            s2 = sch.value(t) ** 2
-            h = h0 - (2 * lam ** 2 / Omega) * s2 * x2 + (4 * lam ** 4 / Omega ** 3) * s2 * s2 * x4
-            return -1j * np.concatenate([h @ y[:dim], h @ y[dim:] + (h0 / omega) @ y[:dim]])
-
-        y0 = np.zeros(2 * dim, dtype=complex)
-        y0[0] = 1.0
-        sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-11, atol=1e-13)
-        want = pure_qfi(sol.y[:dim, -1], sol.y[dim:, -1])
         e = map_quantum_rabi(QuantumRabiParams(omega=omega, Omega=Omega, lam=lam))
         res = qfi_fock(sch, e, estimand(e, "omega"), nmax=nmax)
         assert res.nmax == nmax            # the tail check passed

@@ -12,11 +12,12 @@ import pytest
 
 import critmet
 from critmet.cli import main
-from critmet.fock import qfi_fock
+from critmet import fock
+from critmet.fock import observables_fock, propagate, qfi_fock
 from critmet.harness import (ConfigError, PRESETS, build_effective,
                              fit_results, load_config, parse_config,
                              read_results, run, verify_bounds)
-from critmet.models import SuddenQuench, estimand
+from critmet.models import FiniteRamp, SuddenQuench, estimand
 
 SMALL_CONFIG = {
     "name": "smoke-quench",
@@ -159,6 +160,13 @@ class TestRun:
         p1 = run(cfg1, tmp_path / "w1")
         p2 = run(cfg2, tmp_path / "w2")
         assert p1.read_bytes() == p2.read_bytes()
+        # two finite η: two row groups, one per worker
+        raw = {**SMALL_CONFIG, "eta": [100.0, 300.0], "nmax": 96,
+               "t_grid": {"min": 1.0, "max": 8.0, "points": 3}}
+        p1 = run(parse_config({**raw, "workers": 1}), tmp_path / "f1")
+        p2 = run(parse_config({**raw, "workers": 2}), tmp_path / "f2")
+        assert p1.read_bytes() == p2.read_bytes()
+        assert [r["eta"] for r in read_results(p1)] == ["100"] * 3 + ["300"] * 3
 
     def test_failing_point_is_isolated(self, tmp_path):
         # a quench horizon far beyond the blow-up time fails in-row only
@@ -179,6 +187,8 @@ class TestRun:
         cfg = parse_config(raw)
         rows = read_results(run(cfg, tmp_path))
         assert [r["error"] for r in rows] == [""] * 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["fock_nmax"] == {"1000.0": [160] * 4}
         eff = build_effective(cfg.model, 1000.0)
         tag = estimand(eff, "lambda")
         res = qfi_fock(SuddenQuench(g_f=1.0, T=40.0), eff, tag)
@@ -186,6 +196,92 @@ class TestRun:
         assert float(rows[-1]["I_x"]) == res.qfi[-1]
         fixed = qfi_fock(SuddenQuench(g_f=1.0, T=40.0), eff, tag, nmax=160)
         assert res.qfi[-1] == fixed.qfi[-1]
+
+    def test_fock_quench_group_matches_per_row_runs(self, tmp_path, monkeypatch):
+        # all T of one η come from one decomposition, and each row equals
+        # its own per-row propagation
+        calls = []
+        real = fock.eig_banded
+        monkeypatch.setattr(fock, "eig_banded",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        cfg = parse_config({**SMALL_CONFIG, "eta": [100.0], "nmax": 128,
+                            "t_grid": {"min": 1.0, "max": 8.0, "points": 4}})
+        rows = read_results(run(cfg, tmp_path))
+        assert len(calls) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["fock_nmax"] == {"100.0": [128] * 4}
+        eff = build_effective(cfg.model, 100.0)
+        tag = estimand(eff, "lambda")
+        for r in rows:
+            sch = SuddenQuench(g_f=eff.g, T=float(r["T"]))
+            want_i = qfi_fock(sch, eff, tag, nmax=128).qfi[-1]
+            want_n = observables_fock(propagate(sch, eff, nmax=128).final).n
+            assert float(r["I_x"]) == pytest.approx(want_i, rel=1e-12, abs=0)
+            assert float(r["N_final"]) == pytest.approx(want_n, rel=1e-12, abs=0)
+
+    def test_fock_adiabatic_group_against_reference(self, tmp_path):
+        # one Krylov trajectory to the longest T serves every row; each row
+        # is checked against solve_ivp on the same truncation.  I_x is held
+        # to 1e-3; N_final to 1e-4, above the 1.2e-5 to 4.8e-5 the midpoint
+        # rule misses by here (ROADMAP item 2, stage 4)
+        from test_fock import adiabatic_ramp_reference
+        cfg = parse_config({**SMALL_CONFIG, "estimand": "omega",
+                            "protocol": {"kind": "adiabatic", "phi_ad": 0.05},
+                            "eta": [100.0], "nmax": 160,
+                            "t_grid": {"min": 20.0, "max": 40.0, "points": 3}})
+        rows = read_results(run(cfg, tmp_path))
+        Ts = [float(r["T"]) for r in rows]
+        for r, (want_i, want_n) in zip(rows, adiabatic_ramp_reference(160, Ts)):
+            assert r["error"] == ""
+            assert abs(float(r["I_x"]) / want_i - 1.0) <= 1e-3
+            assert abs(float(r["N_final"]) / want_n - 1.0) <= 1e-4
+
+    def test_overflow_fails_only_later_rows_of_a_group(self, tmp_path):
+        # near-Gaussian critical quench: ⟨N⟩ grows without bound, so the
+        # tail overflows at T = 5 even after doubling 16 -> 256; the two
+        # earlier rows run again on their own and keep their values
+        cfg = parse_config({**SMALL_CONFIG, "eta": [1e12], "nmax": 16,
+                            "t_grid": {"min": 0.5, "max": 50.0, "points": 5}})
+        rows = read_results(run(cfg, tmp_path))
+        assert [r["error"] for r in rows[:2]] == ["", ""]
+        assert all(math.isfinite(float(r["I_x"])) and float(r["N_final"]) > 0
+                   for r in rows[:2])
+        for r in rows[2:]:
+            assert r["error"].startswith("TruncationOverflow: ")
+            assert "at t=5 with nmax=256" in r["error"]
+            assert r["I_x"] == r["N_final"] == ""
+        eff = build_effective(cfg.model, 1e12)
+        kept = [float(r["T"]) for r in rows[:2]]
+        want = qfi_fock(SuddenQuench(g_f=1.0, T=kept[-1]), eff,
+                        estimand(eff, "lambda"), t_samples=kept, nmax=16)
+        assert [float(r["I_x"]) for r in rows[:2]] == list(want.qfi)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["fock_nmax"] == {str(1e12): [want.nmax] * 2 + [None] * 3}
+        assert manifest["failures"] == 3
+
+    def test_finite_ramp_rows_run_one_by_one(self, tmp_path):
+        # a FiniteRamp's g(t) changes with T: no shared run, and each row
+        # equals its stand-alone QFI
+        cfg = parse_config({**SMALL_CONFIG, "estimand": "omega",
+                            "protocol": {"kind": "ramp", "r": 2.0},
+                            "eta": [100.0], "nmax": 32,
+                            "t_grid": {"min": 2.0, "max": 4.0, "points": 2}})
+        rows = read_results(run(cfg, tmp_path))
+        eff = build_effective(cfg.model, 100.0)
+        for r in rows:
+            res = qfi_fock(FiniteRamp(r=2.0, T=float(r["T"])), eff,
+                           estimand(eff, "omega"), nmax=32, tol=1e-10)
+            assert r["error"] == "" and float(r["I_x"]) == res.qfi[-1]
+
+    def test_repeated_grid_times_share_one_sample(self, tmp_path):
+        # min == max gives equal T in one Krylov group: one sample time
+        # is recorded twice instead of stepping by zero
+        cfg = parse_config({**SMALL_CONFIG, "estimand": "omega",
+                            "protocol": {"kind": "adiabatic", "phi_ad": 0.05},
+                            "eta": [100.0], "nmax": 32,
+                            "t_grid": {"min": 2.0, "max": 2.0, "points": 2}})
+        a, b = read_results(run(cfg, tmp_path))
+        assert a["error"] == "" and a == b
 
     def test_regime_labels_recorded(self, tmp_path):
         cfg = parse_config(SMALL_CONFIG)
